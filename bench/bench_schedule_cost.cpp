@@ -10,77 +10,14 @@
 // Select air time and the round start-up, which the paper's reader hides
 // inside its own Phase II start; the compute-only column is the direct
 // comparison.)
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "util/stats.hpp"
-#include "util/wall_clock.hpp"
 
 using namespace tagwatch;
 using bench::Testbed;
-
-namespace {
-
-/// Wall-clock milliseconds of one full plan() (candidate table + greedy
-/// cover), minimum over `repeats` runs.
-double plan_ms(const core::GreedyCoverScheduler& sched,
-               const core::BitmaskIndex& index,
-               const util::IndicatorBitmap& targets, int repeats) {
-  util::WallClock& wall = util::WallClock::system();
-  double best = 0.0;
-  for (int r = 0; r < repeats; ++r) {
-    const double t0 = wall.now_seconds();
-    const core::Schedule plan = sched.plan(index, targets);
-    const double elapsed_ms = (wall.now_seconds() - t0) * 1e3;
-    if (plan.selections.empty()) std::abort();  // keep the work observable
-    if (r == 0 || elapsed_ms < best) best = elapsed_ms;
-  }
-  return best;
-}
-
-/// Large-scene planning sweep (§5.3 fast path): plan() wall time across
-/// scene sizes, plus the dense-reference comparison at 4,096 tags.
-void planning_sweep(bench::BenchReport& report) {
-  std::printf("\nlarge-scene planning sweep (lazy fast path):\n");
-  std::printf("%10s  %10s  %12s\n", "tags", "targets", "plan (ms)");
-  util::Rng rng(802);
-  const core::GreedyCoverScheduler lazy(core::InventoryCostModel::paper_fit(),
-                                        core::GreedyEvaluation::kLazy);
-  const core::GreedyCoverScheduler dense(core::InventoryCostModel::paper_fit(),
-                                         core::GreedyEvaluation::kDense);
-  for (const std::size_t n : {256u, 1024u, 4096u, 16384u}) {
-    std::vector<util::Epc> scene;
-    scene.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      scene.push_back(util::Epc::random(rng));
-    }
-    const core::BitmaskIndex index(scene);
-    // 1/4 of the scene, clamped: the high-mobility regime, dense enough
-    // that the greedy cover runs many rounds (what the lazy evaluation is
-    // for), capped so the largest scene stays within the bench time budget.
-    const std::size_t n_targets = std::clamp<std::size_t>(n / 4, 4, 1024);
-    const std::vector<util::Epc> targets(
-        index.scene().begin(),
-        index.scene().begin() + static_cast<std::ptrdiff_t>(n_targets));
-    const auto bitmap = index.bitmap_of(targets);
-
-    const double lazy_ms = plan_ms(lazy, index, bitmap, 3);
-    std::printf("%10zu  %10zu  %12.3f\n", n, n_targets, lazy_ms);
-    report.add("plan_ms_at_" + std::to_string(n), lazy_ms, "ms");
-    if (n == 4096) {
-      const double dense_ms = plan_ms(dense, index, bitmap, 2);
-      report.add("plan_dense_ms_at_4096", dense_ms, "ms");
-      report.add("plan_speedup_at_4096", dense_ms / lazy_ms, "ratio");
-      std::printf("%10s  %10s  %12.3f  (dense reference; %.1fx)\n", "", "",
-                  dense_ms, dense_ms / lazy_ms);
-    }
-  }
-}
-
-}  // namespace
 
 int main() {
   // Population: 60 tags, 3 movers.  Enough cycles for a stable CDF; the
@@ -128,7 +65,6 @@ int main() {
   report.add("compute_p99", util::percentile(compute_ms, 0.99), "ms");
   report.add("gap_p50", util::percentile(gap_ms, 0.5), "ms");
   report.add("gap_p90", util::percentile(gap_ms, 0.9), "ms");
-  planning_sweep(report);
   std::printf("wrote %s\n", report.write().c_str());
   return 0;
 }

@@ -398,6 +398,11 @@ void IncrementalPlanner::add_target_in_trie(Arena& a, Scratch& s,
       a.nodes[n0].depth = 0;
       a.nodes[n0].parent_edge = kNone;
       a.nodes[n0].side[root_bit ? 1 : 0] = Side{root, 0};
+      // The far side is the untracked region: every present tag outside
+      // the root edge's subtree.
+      const auto untracked =
+          static_cast<std::uint32_t>(n_present_ - a.edges[root].count);
+      a.nodes[n0].side[root_bit ? 0 : 1] = Side{kNone, untracked};
       a.edges[root].parent_node = n0;
       a.edges[root].parent_side = root_bit ? 1 : 0;
       trie.root_edge = kNone;

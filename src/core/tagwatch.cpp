@@ -5,7 +5,6 @@
 #include <unordered_set>
 
 #include "core/metrics.hpp"
-#include "util/simd.hpp"
 
 namespace tagwatch::core {
 
@@ -32,12 +31,6 @@ TagwatchController::TagwatchController(TagwatchConfig config,
   if (config_.wall_clock != nullptr) {
     pipeline_.set_wall_clock(*config_.wall_clock);
   }
-  // Pin the process-wide kernel table: best detected ISA, or the portable
-  // scalar kernels under force_scalar_simd.  Either way the kernels are
-  // bit-identical, so this never changes a plan or a journal digest.
-  util::simd::set_active_isa(config_.force_scalar_simd
-                                 ? util::simd::Isa::kScalar
-                                 : util::simd::detected_isa());
   if (config_.planner.threads > 1) {
     planning_pool_ = std::make_unique<util::TaskPool>(config_.planner.threads);
   }

@@ -95,12 +95,6 @@ struct TagwatchConfig {
   /// Cross-cycle planner policy (kGreedyCover only; other modes and the
   /// degraded/read-all paths never consult it).
   PlannerConfig planner;
-  /// Pin every util::simd kernel to the portable scalar implementation
-  /// instead of the best instruction set detected at startup.  All kernels
-  /// are bit-identical across implementations (enforced by differential
-  /// tests), so this only trades speed — it exists for A/B benchmarking
-  /// and for ruling SIMD out when chasing a miscompare.
-  bool force_scalar_simd = false;
   /// Above this mobile fraction, selective reading stops paying off and the
   /// controller falls back to reading everything (§3 "Scope").
   double mobile_fraction_threshold = 0.20;

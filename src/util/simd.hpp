@@ -15,10 +15,11 @@
 // detected_isa() and can only be lowered (e.g. forced to scalar for
 // differential measurement) via set_active_isa(), which clamps to the
 // detected level so an AVX2 kernel can never run on a machine without
-// AVX2.  Journaled code must not make the decision ad hoc: the
-// simd-discipline lint rule pins set_active_isa() calls to this module
-// and the TagwatchConfig seam (TagwatchConfig::force_scalar_simd), and
-// pins raw intrinsics to src/util/simd_avx2.cpp.
+// AVX2.  Only a program's entry point (tools, tests, benches) calls
+// set_active_isa(), so no library call can undo a caller's pin.  The
+// simd-discipline lint rule enforces both fences: no set_active_isa()
+// call in src/ outside this module, raw intrinsics only in
+// src/util/simd_avx2.cpp.
 #pragma once
 
 #include <cstddef>

@@ -4,6 +4,7 @@
 #include "core/tagwatch.hpp"
 #include "llrp/sim_reader_client.hpp"
 #include "util/circular.hpp"
+#include "util/simd.hpp"
 
 namespace tagwatch::core {
 namespace {
@@ -39,6 +40,18 @@ TEST(TagwatchConfig, Phase1RoundsPerAntennaScalesPhase1) {
   const CycleReport r = ctl.run_cycle();
   // 2 antennas × 3 rounds, each reading all 10 tags.
   EXPECT_EQ(r.phase1_readings, 60u);
+}
+
+// The kernel table is the caller's to pin: building a controller must not
+// repoint it, or a forced-scalar run would silently use the native kernels.
+TEST(TagwatchConfig, ControllerLeavesPinnedIsaAlone) {
+  const util::simd::Isa saved = util::simd::active_isa();
+  util::simd::set_active_isa(util::simd::Isa::kScalar);
+  MiniBed bed(4);
+  const TagwatchController ctl(TagwatchConfig{}, *bed.client);
+  const util::simd::Isa after = util::simd::active_isa();
+  util::simd::set_active_isa(saved);
+  EXPECT_EQ(after, util::simd::Isa::kScalar);
 }
 
 TEST(TagwatchConfig, ChargeComputeTimeAdvancesClock) {

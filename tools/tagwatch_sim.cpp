@@ -108,6 +108,7 @@
 #include "llrp/sim_reader_client.hpp"
 #include "util/circular.hpp"
 #include "util/config.hpp"
+#include "util/simd.hpp"
 #include "util/stats.hpp"
 
 using namespace tagwatch;
@@ -374,8 +375,6 @@ int run_fleet(const util::KeyValueConfig& cfg) {
       double_in(cfg, "planner.churn_threshold", 0.15, 0.0, 1.0);
   fcfg.controller.planner.threads =
       static_cast<std::size_t>(int_in(cfg, "planner.threads", 1, 1, 64));
-  fcfg.controller.force_scalar_simd =
-      cfg.get_bool_or("simd.force_scalar", false);
   fcfg.controller.phase2_duration =
       util::sec(int_in(cfg, "phase2_seconds", 5, 1, 3600));
   fcfg.controller.pinned_targets = cfg.get_epc_list("pinned_targets");
@@ -561,6 +560,10 @@ int run(int argc, char** argv) {
   }
 
   reject_unknown_keys(cfg);
+  // Process-wide kernel table; both ISAs give bit-identical results.
+  if (cfg.get_bool_or("simd.force_scalar", false)) {
+    util::simd::set_active_isa(util::simd::Isa::kScalar);
+  }
 
   if (int_in(cfg, "fleet.readers", 1, 1, 16) >= 2) {
     return run_fleet(cfg);
@@ -688,7 +691,6 @@ int run(int argc, char** argv) {
       double_in(cfg, "planner.churn_threshold", 0.15, 0.0, 1.0);
   twcfg.planner.threads =
       static_cast<std::size_t>(int_in(cfg, "planner.threads", 1, 1, 64));
-  twcfg.force_scalar_simd = cfg.get_bool_or("simd.force_scalar", false);
   twcfg.phase2_duration =
       util::sec(int_in(cfg, "phase2_seconds", 5, 1, 3600));
   twcfg.pinned_targets = cfg.get_epc_list("pinned_targets");
