@@ -1,5 +1,7 @@
 #include "core/history.hpp"
 
+#include <algorithm>
+
 namespace tagwatch::core {
 
 void HistoryDatabase::record(const rf::TagReading& reading) {
@@ -23,6 +25,7 @@ std::vector<util::Epc> HistoryDatabase::seen_since(util::SimTime since) const {
   for (const auto& [epc, h] : tags_) {
     if (h.last_seen >= since) out.push_back(epc);
   }
+  std::sort(out.begin(), out.end());
   return out;
 }
 

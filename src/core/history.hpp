@@ -34,7 +34,8 @@ class HistoryDatabase {
   std::size_t tag_count() const noexcept { return tags_.size(); }
   std::size_t total_readings() const noexcept { return total_; }
 
-  /// EPCs seen at or after `since` — the "current scene" snapshot.
+  /// EPCs seen at or after `since` — the "current scene" snapshot — in
+  /// EPC order.
   std::vector<util::Epc> seen_since(util::SimTime since) const;
 
   /// Drops tags last seen before `before` (memory reclamation, §4.3).

@@ -52,7 +52,8 @@ std::vector<std::pair<util::Epc, double>> IrrMonitor::snapshot(
     if (rate > 0.0) out.emplace_back(epc, rate);
   }
   std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    return a.second > b.second;
+    if (a.second != b.second) return a.second > b.second;
+    return a.first < b.first;
   });
   return out;
 }

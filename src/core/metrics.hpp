@@ -35,7 +35,7 @@ class IrrMonitor {
   /// Number of readings of `epc` currently inside the window.
   std::size_t count_in_window(const util::Epc& epc, util::SimTime now) const;
 
-  /// Per-tag IRR snapshot, sorted by descending rate.
+  /// Per-tag IRR snapshot, sorted by descending rate, ties by EPC.
   std::vector<std::pair<util::Epc, double>> snapshot(util::SimTime now) const;
 
   /// Tags with any reading in the window.

@@ -24,4 +24,7 @@ struct TagReading {
   util::SimTime timestamp{0};    ///< Simulation time of the read.
 };
 
+// A reading is copied at every layer it passes: keep it within 64 bytes.
+static_assert(sizeof(TagReading) <= 64, "TagReading must fit in 64 bytes");
+
 }  // namespace tagwatch::rf

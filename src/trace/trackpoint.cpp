@@ -158,7 +158,8 @@ TraceResult generate_trackpoint_trace(const TrackPointScenario& scenario) {
   }
   std::sort(result.per_tag.begin(), result.per_tag.end(),
             [](const TraceTagRecord& a, const TraceTagRecord& b) {
-              return a.readings > b.readings;
+              if (a.readings != b.readings) return a.readings > b.readings;
+              return a.epc < b.epc;
             });
   return result;
 }

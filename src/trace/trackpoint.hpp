@@ -46,7 +46,7 @@ struct TraceTagRecord {
 struct TraceResult {
   std::size_t total_readings = 0;
   std::size_t total_tags = 0;
-  std::vector<TraceTagRecord> per_tag;  ///< Sorted by readings desc.
+  std::vector<TraceTagRecord> per_tag;  ///< Readings desc, ties by EPC.
   std::vector<std::size_t> readings_per_minute;     ///< Fig. 3's time series.
   /// Max tags simultaneously on the conveyor in any one second.
   std::size_t peak_concurrent_movers = 0;

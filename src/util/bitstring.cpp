@@ -1,6 +1,6 @@
 #include "util/bitstring.hpp"
 
-#include <cctype>
+#include <algorithm>
 #include <stdexcept>
 
 namespace tagwatch::util {
@@ -14,24 +14,53 @@ int hex_digit(char c) {
   return -1;
 }
 
+/// The 64 bits of `w` (an `n`-word left-aligned string) starting at bit
+/// `pos`, zero-filled past the last word.  Precondition: pos / 64 < n.
+std::uint64_t load_bits(const std::uint64_t* w, std::size_t n,
+                        std::size_t pos) noexcept {
+  const std::size_t q = pos / 64;
+  const std::size_t shift = pos % 64;
+  std::uint64_t out = w[q] << shift;
+  if (shift != 0 && q + 1 < n) out |= w[q + 1] >> (64 - shift);
+  return out;
+}
+
+/// Keeps the top `bits % 64` bits of a tail word (all 64 when the string
+/// fills its last word).
+std::uint64_t tail_mask(std::size_t bits) noexcept {
+  const std::size_t tail = bits % 64;
+  return tail == 0 ? ~std::uint64_t{0} : ~std::uint64_t{0} << (64 - tail);
+}
+
 }  // namespace
 
-BitString::BitString(std::size_t length)
-    : size_(length), words_(word_count(length), 0) {}
+std::uint64_t* BitString::allocate(std::size_t words) {
+  return new std::uint64_t[words]();
+}
+
+std::uint64_t* BitString::clone(const BitString& other) {
+  const std::size_t n = word_count(other.size_);
+  auto* out = new std::uint64_t[n];
+  std::copy_n(other.heap_, n, out);
+  return out;
+}
+
+void BitString::throw_out_of_range(const char* what) {
+  throw std::out_of_range(what);
+}
 
 BitString::BitString(std::uint64_t value, std::size_t length)
-    : BitString(length) {
+    : size_(length) {
   if (length > 64) throw std::invalid_argument("BitString(value): length > 64");
-  for (std::size_t i = 0; i < length; ++i) {
-    set_bit(i, ((value >> (length - 1 - i)) & 1u) != 0);
-  }
+  if (length != 0) inline_[0] = value << (64 - length);
 }
 
 BitString BitString::from_binary(std::string_view bits) {
   BitString out(bits.size());
+  std::uint64_t* w = out.words();
   for (std::size_t i = 0; i < bits.size(); ++i) {
     if (bits[i] == '1') {
-      out.set_bit(i, true);
+      w[i / 64] |= std::uint64_t{1} << (63 - i % 64);
     } else if (bits[i] != '0') {
       throw std::invalid_argument("BitString::from_binary: bad character");
     }
@@ -41,76 +70,57 @@ BitString BitString::from_binary(std::string_view bits) {
 
 BitString BitString::from_hex(std::string_view hex) {
   BitString out(hex.size() * 4);
+  std::uint64_t* w = out.words();
   for (std::size_t i = 0; i < hex.size(); ++i) {
     const int d = hex_digit(hex[i]);
     if (d < 0) throw std::invalid_argument("BitString::from_hex: bad digit");
-    for (std::size_t b = 0; b < 4; ++b) {
-      out.set_bit(i * 4 + b, ((d >> (3 - b)) & 1) != 0);
-    }
+    // 64 is a multiple of 4, so a digit never straddles two words.
+    w[i / 16] |= static_cast<std::uint64_t>(d) << (60 - 4 * (i % 16));
   }
   return out;
-}
-
-bool BitString::bit(std::size_t i) const {
-  if (i >= size_) throw std::out_of_range("BitString::bit");
-  return ((words_[i / 64] >> (63 - i % 64)) & 1u) != 0;
-}
-
-void BitString::set_bit(std::size_t i, bool value) {
-  if (i >= size_) throw std::out_of_range("BitString::set_bit");
-  const std::uint64_t mask = std::uint64_t{1} << (63 - i % 64);
-  if (value) {
-    words_[i / 64] |= mask;
-  } else {
-    words_[i / 64] &= ~mask;
-  }
 }
 
 BitString BitString::substring(std::size_t pointer, std::size_t length) const {
-  if (pointer + length > size_) throw std::out_of_range("BitString::substring");
+  if (pointer > size_ || length > size_ - pointer) {
+    throw std::out_of_range("BitString::substring");
+  }
   BitString out(length);
-  // Word-parallel extraction: output word j is input bits
-  // [pointer + 64j, pointer + 64j + 64), i.e. two left-aligned source words
-  // stitched at a shift that is constant across j.
-  const std::size_t shift = pointer % 64;
-  for (std::size_t j = 0; j < out.words_.size(); ++j) {
-    const std::size_t q = pointer / 64 + j;
-    std::uint64_t word = words_[q] << shift;
-    if (shift != 0 && q + 1 < words_.size()) {
-      word |= words_[q + 1] >> (64 - shift);
-    }
-    out.words_[j] = word;
+  // Output word j is input bits [pointer + 64j, pointer + 64j + 64); the
+  // tail word is masked so no source bit lands past `length`.
+  const std::uint64_t* src = words();
+  std::uint64_t* dst = out.words();
+  const std::size_t n = word_count(length);
+  for (std::size_t j = 0; j < n; ++j) {
+    dst[j] = load_bits(src, word_count(size_), pointer + 64 * j);
   }
-  // Clear the low bits of the tail word past `length` so the defaulted
-  // ==/hash over words_ never see stray source bits.
-  const std::size_t tail = length % 64;
-  if (tail != 0) {
-    out.words_.back() &= ~std::uint64_t{0} << (64 - tail);
-  }
+  if (n != 0) dst[n - 1] &= tail_mask(length);
   return out;
 }
 
-bool BitString::matches(std::size_t pointer, const BitString& mask) const {
-  if (pointer + mask.size() > size_) return false;
-  for (std::size_t i = 0; i < mask.size(); ++i) {
-    if (bit(pointer + i) != mask.bit(i)) return false;
+bool BitString::matches(std::size_t pointer,
+                        const BitString& mask) const noexcept {
+  if (pointer > size_ || mask.size_ > size_ - pointer) return false;
+  const std::uint64_t* src = words();
+  const std::uint64_t* m = mask.words();
+  const std::size_t n = word_count(mask.size_);
+  for (std::size_t j = 0; j < n; ++j) {
+    std::uint64_t w = load_bits(src, word_count(size_), pointer + 64 * j);
+    if (j + 1 == n) w &= tail_mask(mask.size_);
+    if (w != m[j]) return false;
   }
   return true;
 }
 
 std::uint64_t BitString::to_uint64() const {
   if (size_ > 64) throw std::logic_error("BitString::to_uint64: size > 64");
-  std::uint64_t out = 0;
-  for (std::size_t i = 0; i < size_; ++i) {
-    out = (out << 1) | (bit(i) ? 1u : 0u);
-  }
-  return out;
+  return size_ == 0 ? 0 : inline_[0] >> (64 - size_);
 }
 
 std::string BitString::to_binary_string() const {
   std::string out(size_, '0');
+  const std::uint64_t* w = words();
   for (std::size_t i = 0; i < size_; ++i) {
-    if (bit(i)) out[i] = '1';
+    if (((w[i / 64] >> (63 - i % 64)) & 1u) != 0) out[i] = '1';
   }
   return out;
 }
@@ -121,37 +131,11 @@ std::string BitString::to_hex_string() const {
   }
   static constexpr char kDigits[] = "0123456789ABCDEF";
   std::string out(size_ / 4, '0');
+  const std::uint64_t* w = words();
   for (std::size_t i = 0; i < out.size(); ++i) {
-    int v = 0;
-    for (std::size_t b = 0; b < 4; ++b) {
-      v = (v << 1) | (bit(i * 4 + b) ? 1 : 0);
-    }
-    out[i] = kDigits[v];
+    out[i] = kDigits[(w[i / 16] >> (60 - 4 * (i % 16))) & 0xF];
   }
   return out;
-}
-
-std::strong_ordering BitString::operator<=>(const BitString& other) const {
-  const std::size_t common = std::min(size_, other.size_);
-  for (std::size_t i = 0; i < common; ++i) {
-    const bool a = bit(i);
-    const bool b = other.bit(i);
-    if (a != b) {
-      return a ? std::strong_ordering::greater : std::strong_ordering::less;
-    }
-  }
-  return size_ <=> other.size_;
-}
-
-std::size_t BitString::hash() const noexcept {
-  std::uint64_t h = 14695981039346656037ull;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  mix(size_);
-  for (const auto w : words_) mix(w);
-  return static_cast<std::size_t>(h);
 }
 
 }  // namespace tagwatch::util

@@ -1,6 +1,8 @@
 // Tests for the reading-history database.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/history.hpp"
 
 namespace tagwatch::core {
@@ -47,6 +49,28 @@ TEST(HistoryDatabase, SeenSinceSnapshotsScene) {
   db.record(reading(3, util::sec(9)));
   const auto scene = db.seen_since(util::sec(5));
   EXPECT_EQ(scene.size(), 2u);
+}
+
+TEST(HistoryDatabase, SeenSinceIgnoresInsertionOrderAndBucketCount) {
+  // Same readings, two databases: `a` filled in one order; `b` filled in
+  // the reverse order after 4,000 stale tags grew its bucket array.
+  HistoryDatabase a;
+  HistoryDatabase b;
+  for (std::uint64_t s = 10000; s < 14000; ++s) {
+    b.record(reading(s, util::sec(1)));
+  }
+  ASSERT_EQ(b.evict_older_than(util::sec(2)), 4000u);
+  // Serial i * 7919 % 1000 is distinct for each i < 1000.
+  const auto read = [](std::uint64_t i) {
+    const auto t = util::sec(10 + static_cast<std::int64_t>(i % 3));
+    return reading(i * 7919 % 1000, t);
+  };
+  for (std::uint64_t i = 0; i < 300; ++i) a.record(read(i));
+  for (std::uint64_t i = 300; i-- > 0;) b.record(read(i));
+  const auto scene = a.seen_since(util::sec(11));
+  EXPECT_EQ(scene.size(), 200u);
+  EXPECT_TRUE(std::is_sorted(scene.begin(), scene.end()));
+  EXPECT_EQ(scene, b.seen_since(util::sec(11)));
 }
 
 TEST(HistoryDatabase, EvictionRemovesStaleTags) {

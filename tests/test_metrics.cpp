@@ -43,6 +43,38 @@ TEST(IrrMonitor, SnapshotSortedByRate) {
   EXPECT_GT(snap[0].second, snap[1].second);
 }
 
+TEST(IrrMonitor, SnapshotIgnoresInsertionOrderAndBucketCount) {
+  // Tag k has (k % 4) + 1 readings, so most rates tie.  `a` records tag by
+  // tag; `b` records round by round in reverse tag order, after 4,000
+  // pruned tags grew its bucket array.
+  IrrMonitor a(util::sec(10));
+  IrrMonitor b(util::sec(10));
+  for (std::uint64_t s = 10000; s < 14000; ++s) {
+    b.record(reading(s, util::sec(1)));
+  }
+  ASSERT_EQ(b.prune(util::sec(20)), 4000u);
+  const auto at = [](std::uint64_t i) {
+    return util::sec(20) + util::msec(static_cast<std::int64_t>(i));
+  };
+  for (std::uint64_t k = 0; k < 200; ++k) {
+    for (std::uint64_t i = 0; i <= k % 4; ++i) a.record(reading(k, at(i)));
+  }
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    for (std::uint64_t k = 200; k-- > 0;) {
+      if (i <= k % 4) b.record(reading(k, at(i)));
+    }
+  }
+  const auto snap = a.snapshot(util::sec(21));
+  ASSERT_EQ(snap.size(), 200u);
+  EXPECT_EQ(snap, b.snapshot(util::sec(21)));
+  for (std::size_t i = 1; i < snap.size(); ++i) {
+    const auto& [prev_epc, prev_rate] = snap[i - 1];
+    const auto& [epc, rate] = snap[i];
+    EXPECT_TRUE(prev_rate > rate || (prev_rate == rate && prev_epc < epc))
+        << "entry " << i;
+  }
+}
+
 TEST(IrrMonitor, ActiveTagsAndPrune) {
   IrrMonitor m(util::sec(1));
   m.record(reading(1, util::msec(100)));

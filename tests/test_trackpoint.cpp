@@ -28,6 +28,14 @@ TEST(TrackPoint, GeneratesPopulatedTrace) {
   std::size_t sum = 0;
   for (const auto& t : result.per_tag) sum += t.readings;
   EXPECT_EQ(sum, result.total_readings);
+  // per_tag is ordered by readings, then by EPC: never by hash order.
+  for (std::size_t i = 1; i < result.per_tag.size(); ++i) {
+    const TraceTagRecord& prev = result.per_tag[i - 1];
+    const TraceTagRecord& t = result.per_tag[i];
+    EXPECT_TRUE(prev.readings > t.readings ||
+                (prev.readings == t.readings && prev.epc < t.epc))
+        << "entry " << i;
+  }
 }
 
 TEST(TrackPoint, ParkedTagsDominateReadings) {
