@@ -9,10 +9,13 @@ namespace tagwatch::gen2 {
 
 namespace {
 
-/// Sentinel slot value for collided tags: per Gen2, a tag whose counter is 0
+/// Sentinel reply tick of collided tags: per Gen2, a tag whose counter is 0
 /// and that receives QueryRep without having been acknowledged wraps its
 /// counter and effectively leaves the frame until the next Query/QueryAdjust.
-constexpr std::uint32_t kParkedSlot = 0x7FFF;
+constexpr std::uint64_t kParkedTick =
+    std::numeric_limits<std::uint64_t>::max() - 1;
+/// Sentinel reply tick of tags read this round; the next redraw drops them.
+constexpr std::uint64_t kReadTick = std::numeric_limits<std::uint64_t>::max();
 
 std::uint8_t clamp_q(double qfp) {
   return static_cast<std::uint8_t>(std::lround(std::clamp(qfp, 0.0, 15.0)));
@@ -71,10 +74,9 @@ void Gen2Reader::set_active_antenna(std::size_t index) {
   antenna_idx_ = index;
 }
 
-std::vector<Gen2Reader::Participant> Gen2Reader::gather_participants(
-    const QueryCommand& query) {
+void Gen2Reader::gather_participants(const QueryCommand& query) {
   flags_->sync(*world_);
-  std::vector<Participant> parts;
+  parts_.clear();
   const util::SimTime t = world_->now();
   const std::vector<sim::SimTag>& tags = world_->tags();
   for (std::size_t i = 0; i < tags.size(); ++i) {
@@ -88,17 +90,19 @@ std::vector<Gen2Reader::Participant> Gen2Reader::gather_participants(
     if (tag.block_probability > 0.0 && rng_.chance(tag.block_probability)) {
       continue;
     }
-    parts.push_back({i, 0, false});
+    parts_.push_back({i, 0});
   }
-  return parts;
 }
 
-void Gen2Reader::redraw_slots(std::vector<Participant>& parts,
-                              std::uint32_t frame_size) {
-  for (auto& p : parts) {
-    p.slot = rng_.below(std::max<std::uint32_t>(frame_size, 1));
-    p.parked = false;
+std::size_t Gen2Reader::redraw(std::uint32_t frame_size, std::uint64_t tick) {
+  const std::uint32_t frame = std::max<std::uint32_t>(frame_size, 1);
+  std::size_t kept = 0;
+  for (const Participant& p : parts_) {
+    if (p.reply_tick == kReadTick) continue;
+    parts_[kept++] = {p.tag_index, tick + rng_.below(frame)};
   }
+  parts_.resize(kept);
+  return kept;
 }
 
 void Gen2Reader::hop_if_due() {
@@ -132,7 +136,6 @@ rf::TagReading Gen2Reader::make_reading(std::size_t tag_index) {
 }
 
 void Gen2Reader::run_binary_tree(const QueryCommand& query,
-                                 const std::vector<Participant>& parts,
                                  const ReadCallback& on_read,
                                  RoundStats& stats) {
   // Capetanakis-style tree splitting: the whole population answers the
@@ -142,8 +145,8 @@ void Gen2Reader::run_binary_tree(const QueryCommand& query,
   std::vector<std::vector<std::size_t>> stack;  // groups of tag indexes
   {
     std::vector<std::size_t> all;
-    all.reserve(parts.size());
-    for (const auto& p : parts) all.push_back(p.tag_index);
+    all.reserve(parts_.size());
+    for (const auto& p : parts_) all.push_back(p.tag_index);
     stack.push_back(std::move(all));
   }
   while (!stack.empty() && stats.slots < config_.max_slots_per_round) {
@@ -187,51 +190,46 @@ void Gen2Reader::run_binary_tree(const QueryCommand& query,
   }
 }
 
-RoundStats Gen2Reader::run_inventory_round(const QueryCommand& query,
-                                           const ReadCallback& on_read) {
-  RoundStats stats;
-  const util::SimTime round_start = world_->now();
-  hop_if_due();
+void Gen2Reader::read_participant(std::size_t pi, const QueryCommand& query,
+                                  const ReadCallback& on_read,
+                                  RoundStats& stats) {
+  const std::size_t tag_index = parts_[pi].tag_index;
+  TagFlags& flags = flags_->at(tag_index);
+  const util::Epc& epc = world_->tags()[tag_index].epc;
+  world_->advance(timing_.success_slot(reply_bits(epc, flags)));
+  ++stats.success_slots;
+  // Acknowledged tag inverts its inventoried flag for this session.
+  flags.toggle_session_flag(query.session, world_->now(), flags_->timing());
+  if (on_read) on_read(make_reading(tag_index));
+  parts_[pi].reply_tick = kReadTick;
+}
 
-  // τ0: carrier ramp, settling, host turnaround — then the opening Query.
-  world_->advance(config_.round_overhead);
-  world_->advance(timing_.query());
-
-  auto parts = gather_participants(query);
-
-  if (config_.policy == AntiCollisionPolicy::kBinaryTree) {
-    run_binary_tree(query, parts, on_read, stats);
-    stats.duration = world_->now() - round_start;
-    return stats;
-  }
-
+void Gen2Reader::run_aloha(const QueryCommand& query,
+                           const ReadCallback& on_read, RoundStats& stats) {
+  const AntiCollisionPolicy policy = config_.policy;
   double qfp = (config_.persist_q && persisted_qfp_)
                    ? *persisted_qfp_
                    : static_cast<double>(query.q);
   std::uint8_t q = clamp_q(qfp);
-  if (config_.policy == AntiCollisionPolicy::kIdealDfsa) {
-    // Oracle: frame length equals the number of competing tags.
-    redraw_slots(parts, static_cast<std::uint32_t>(
-                            std::max<std::size_t>(parts.size(), 1)));
-  } else {
-    redraw_slots(parts, 1u << q);
-  }
-
-  std::size_t slots_left_in_frame =
-      (config_.policy == AntiCollisionPolicy::kIdealDfsa)
-          ? std::max<std::size_t>(parts.size(), 1)
-          : (std::size_t{1} << q);
-
-  const auto remaining_active = [&parts] {
-    return static_cast<std::size_t>(
-        std::count_if(parts.begin(), parts.end(),
-                      [](const Participant& p) { return !p.parked; }));
+  // QueryReps issued so far this round: the clock of the reply ticks.
+  std::uint64_t tick = 0;
+  // Oracle DFSA: the frame length equals the number of competing tags.
+  const auto dfsa_frame = [](std::size_t n) {
+    return std::max(static_cast<std::uint32_t>(n), 1u);
   };
+  std::size_t slots_left_in_frame =
+      (policy == AntiCollisionPolicy::kIdealDfsa)
+          ? dfsa_frame(parts_.size())
+          : (std::size_t{1} << q);
+  // Unread participants, and those of them not parked in this frame.
+  std::size_t unread =
+      redraw(static_cast<std::uint32_t>(slots_left_in_frame), tick);
+  std::size_t active = unread;
 
   while (stats.slots < config_.max_slots_per_round) {
     // Round termination.
-    if (parts.empty()) {
-      if (config_.policy == AntiCollisionPolicy::kQAdaptive) {
+    if (unread == 0) {
+      if (policy == AntiCollisionPolicy::kQAdaptive) {
         // The reader does not know the population is exhausted: it keeps
         // issuing slots, decaying Q on each empty one, until Q reaches 0 and
         // a final empty slot convinces it the round is over.
@@ -249,51 +247,52 @@ RoundStats Gen2Reader::run_inventory_round(const QueryCommand& query,
     }
     // FSA/Q-adaptive can deadlock if every remaining tag is parked; a frame
     // restart (new Query) un-parks them.
-    if (remaining_active() == 0 || slots_left_in_frame == 0) {
-      switch (config_.policy) {
+    if (active == 0 || slots_left_in_frame == 0) {
+      switch (policy) {
         case AntiCollisionPolicy::kFixedQ:
           world_->advance(timing_.query());
-          redraw_slots(parts, 1u << q);
+          unread = redraw(1u << q, tick);
           slots_left_in_frame = 1u << q;
           break;
         case AntiCollisionPolicy::kIdealDfsa: {
-          const auto f = static_cast<std::uint32_t>(parts.size());
+          const std::uint32_t f = dfsa_frame(unread);
           world_->advance(timing_.query());
-          redraw_slots(parts, std::max(f, 1u));
-          slots_left_in_frame = std::max(f, 1u);
+          unread = redraw(f, tick);
+          slots_left_in_frame = f;
           break;
         }
         case AntiCollisionPolicy::kQAdaptive:
           world_->advance(timing_.query_adjust());
           q = clamp_q(qfp);
-          redraw_slots(parts, 1u << q);
+          unread = redraw(1u << q, tick);
           slots_left_in_frame = config_.max_slots_per_round;  // no frame bound
           break;
         case AntiCollisionPolicy::kBinaryTree:
           break;  // handled by run_binary_tree; unreachable here
       }
+      active = unread;
       continue;
     }
 
     hop_if_due();
 
-    // Identify this slot's responders.
-    std::vector<std::size_t> responders;  // indexes into parts
-    for (std::size_t i = 0; i < parts.size(); ++i) {
-      if (!parts[i].parked && parts[i].slot == 0) responders.push_back(i);
+    // This slot's responders: the one scan of the slot.
+    responders_.clear();
+    for (std::size_t i = 0; i < parts_.size(); ++i) {
+      if (parts_[i].reply_tick == tick) responders_.push_back(i);
     }
 
     ++stats.slots;
     --slots_left_in_frame;
 
-    if (responders.empty()) {
+    if (responders_.empty()) {
       world_->advance(timing_.empty_slot());
       ++stats.empty_slots;
-      if (config_.policy == AntiCollisionPolicy::kQAdaptive) {
+      if (policy == AntiCollisionPolicy::kQAdaptive) {
         qfp = std::max(0.0, qfp - config_.q_step);
       }
-    } else if (responders.size() == 1) {
-      const std::size_t pi = responders.front();
+    } else if (responders_.size() == 1) {
+      const std::size_t pi = responders_.front();
       const bool lost = config_.slot_error_rate > 0.0 &&
                         rng_.chance(config_.slot_error_rate);
       if (lost) {
@@ -301,102 +300,96 @@ RoundStats Gen2Reader::run_inventory_round(const QueryCommand& query,
         // no valid ACK, so it parks like a collided tag.
         world_->advance(timing_.collision_slot());
         ++stats.lost_slots;
-        parts[pi].slot = kParkedSlot;
-        parts[pi].parked = true;
+        parts_[pi].reply_tick = kParkedTick;
       } else {
-        const std::size_t tag_index = parts[pi].tag_index;
-        TagFlags& flags = flags_->at(tag_index);
-        const util::Epc& epc = world_->tags()[tag_index].epc;
-        world_->advance(timing_.success_slot(reply_bits(epc, flags)));
-        ++stats.success_slots;
-        // Acknowledged tag inverts its inventoried flag for this session.
-        flags.toggle_session_flag(query.session, world_->now(),
-                                  flags_->timing());
-        if (on_read) on_read(make_reading(tag_index));
-        parts.erase(parts.begin() + static_cast<std::ptrdiff_t>(pi));
+        read_participant(pi, query, on_read, stats);
+        --unread;
       }
+      --active;
     } else {
       // Capture effect: the receiver may still lock onto the strongest
-      // (nearest) responder and read it as if the slot were singular.
-      bool captured = false;
+      // (nearest) responder and read it as if the slot were singular; the
+      // losers park as in a plain collision.
       if (config_.capture_probability > 0.0 &&
           rng_.chance(config_.capture_probability)) {
-        std::size_t strongest = responders.front();
+        std::size_t strongest = responders_.front();
         double best_d = std::numeric_limits<double>::infinity();
         const util::SimTime t = world_->now();
         const std::vector<sim::SimTag>& tags = world_->tags();
-        for (const std::size_t pi : responders) {
+        for (const std::size_t pi : responders_) {
           const double d = util::distance(
               antennas_[antenna_idx_].position,
-              tags[parts[pi].tag_index].motion->position(t));
+              tags[parts_[pi].tag_index].motion->position(t));
           if (d < best_d) {
             best_d = d;
             strongest = pi;
           }
         }
-        const std::size_t tag_index = parts[strongest].tag_index;
-        TagFlags& flags = flags_->at(tag_index);
-        const util::Epc& epc = tags[tag_index].epc;
-        world_->advance(timing_.success_slot(reply_bits(epc, flags)));
-        ++stats.success_slots;
-        flags.toggle_session_flag(query.session, world_->now(),
-                                  flags_->timing());
-        if (on_read) on_read(make_reading(tag_index));
-        // The captured tag leaves; the losers park as in a plain collision.
-        for (const std::size_t pi : responders) {
-          if (pi == strongest) continue;
-          parts[pi].slot = kParkedSlot;
-          parts[pi].parked = true;
-        }
-        parts.erase(parts.begin() + static_cast<std::ptrdiff_t>(strongest));
-        captured = true;
-      }
-      if (!captured) {
+        read_participant(strongest, query, on_read, stats);
+        --unread;
+      } else {
         world_->advance(timing_.collision_slot());
         ++stats.collision_slots;
-        for (const std::size_t pi : responders) {
-          parts[pi].slot = kParkedSlot;
-          parts[pi].parked = true;
+      }
+      for (const std::size_t pi : responders_) {
+        if (parts_[pi].reply_tick != kReadTick) {
+          parts_[pi].reply_tick = kParkedTick;
         }
       }
-      if (config_.policy == AntiCollisionPolicy::kQAdaptive) {
+      active -= responders_.size();
+      if (policy == AntiCollisionPolicy::kQAdaptive) {
         qfp = std::min(15.0, qfp + config_.q_step);
       }
     }
 
-    // QueryRep: every un-parked, un-read tag decrements its counter.
-    for (auto& p : parts) {
-      if (!p.parked && p.slot > 0) --p.slot;
-    }
+    // QueryRep: every unparked, unread tag's counter steps toward its reply.
+    ++tick;
 
     // Q-adaptive mid-round adjustment: when round(Qfp) drifts from Q, the
     // reader issues QueryAdjust and all arbitrating tags (parked included)
     // re-draw from the new frame.
-    if (config_.policy == AntiCollisionPolicy::kQAdaptive &&
-        clamp_q(qfp) != q && !parts.empty()) {
+    if (policy == AntiCollisionPolicy::kQAdaptive && clamp_q(qfp) != q &&
+        unread != 0) {
       world_->advance(timing_.query_adjust());
       q = clamp_q(qfp);
-      redraw_slots(parts, 1u << q);
+      active = unread = redraw(1u << q, tick);
     }
     // Ideal DFSA restarts the frame after every success so that f always
     // equals the remaining population (§2.2's optimal scheme).
-    if (config_.policy == AntiCollisionPolicy::kIdealDfsa &&
-        !responders.empty() && !parts.empty()) {
-      const auto f = static_cast<std::uint32_t>(parts.size());
+    if (policy == AntiCollisionPolicy::kIdealDfsa && !responders_.empty() &&
+        unread != 0) {
+      const std::uint32_t f = dfsa_frame(unread);
       world_->advance(timing_.query());
-      redraw_slots(parts, std::max(f, 1u));
-      slots_left_in_frame = std::max(f, 1u);
+      active = unread = redraw(f, tick);
+      slots_left_in_frame = f;
     }
   }
 
   // Population estimate for the next round (persist_q): frames sized to
   // the count just inventoried, the way COTS AutoSet modes carry state.
-  if (config_.policy == AntiCollisionPolicy::kQAdaptive) {
+  if (policy == AntiCollisionPolicy::kQAdaptive) {
     persisted_qfp_ =
         std::log2(static_cast<double>(std::max<std::size_t>(
             stats.success_slots, 1)));
   }
+}
 
+RoundStats Gen2Reader::run_inventory_round(const QueryCommand& query,
+                                           const ReadCallback& on_read) {
+  RoundStats stats;
+  const util::SimTime round_start = world_->now();
+  hop_if_due();
+
+  // τ0: carrier ramp, settling, host turnaround — then the opening Query.
+  world_->advance(config_.round_overhead);
+  world_->advance(timing_.query());
+
+  gather_participants(query);
+  if (config_.policy == AntiCollisionPolicy::kBinaryTree) {
+    run_binary_tree(query, on_read, stats);
+  } else {
+    run_aloha(query, on_read, stats);
+  }
   stats.duration = world_->now() - round_start;
   return stats;
 }

@@ -6,6 +6,30 @@
 // session flags, per-slot timing) driving a simulated clock instead of RF
 // hardware.  Successful reads are materialized into TagReading records with
 // phase/RSSI drawn from the RF channel model at the exact slot time.
+//
+// Slot engine (the ALOHA policies).  A round counts QueryRep ticks from 0.
+// Every Query, QueryAdjust or frame restart *redraws*: each unread
+// participant gets the absolute tick `now + below(frame)` at which it
+// replies, so a tag's Gen2 slot counter is its reply tick minus the current
+// tick and nothing is decremented per slot.  A slot is one scan for
+// participants whose reply tick equals the current tick.  Collided (parked)
+// and read participants carry sentinel ticks that never match; read ones
+// stay in place until the next redraw compacts them out.  Running counts of
+// active (unparked, unread) and unread participants drive frame restarts
+// and round termination.  The participant and responder vectors are
+// reused members, so once they have grown to the population a slot
+// allocates nothing.
+//
+// RNG-order contract.  Every simulated outcome hangs off the reader's one
+// RNG stream, drawn in exactly this order: the block draw of each blockable
+// tag while gathering participants (world order); at every redraw, one
+// below(frame) per unread participant in gather order, parked ones
+// included; in a singleton slot, one slot-error draw (when
+// slot_error_rate > 0); in a collided slot, one capture draw (when
+// capture_probability > 0), the capture going to the responder nearest the
+// active antenna, the first in gather order on ties; then the RF
+// observation of each read.  Tests pin the outcomes this order produces
+// (Gen2Reader.GoldenSlotEngineOutcomes).
 #pragma once
 
 #include <cstdint>
@@ -112,7 +136,8 @@ class Gen2Reader {
 
   /// Runs one full inventory round opened by `query`, reporting each
   /// successful read through `on_read`.  Advances the simulation clock by
-  /// the round's total duration (including round_overhead).
+  /// the round's total duration (including round_overhead).  `on_read`
+  /// must not re-enter this reader: the round's state lives in members.
   RoundStats run_inventory_round(const QueryCommand& query,
                                  const ReadCallback& on_read);
 
@@ -152,21 +177,32 @@ class Gen2Reader {
 
  private:
   struct Participant {
-    std::size_t tag_index;                 ///< Index into world tags.
-    std::uint32_t slot;                    ///< Remaining QueryReps until reply.
-    bool parked = false;                   ///< Collided; waits for re-draw.
+    std::size_t tag_index;     ///< Index into world tags.
+    /// QueryRep tick of the reply in the current frame, or a sentinel
+    /// (parked after a collision, or already read) that never matches.
+    std::uint64_t reply_tick;
   };
 
   /// True when the tag is present *and* inside this reader's coverage
   /// zone at time `t` — i.e. the reader's carrier actually energizes it.
   bool in_field(const sim::SimTag& tag, util::SimTime t) const;
-  /// Tags in the field whose flags satisfy the query's Sel/session/target.
-  std::vector<Participant> gather_participants(const QueryCommand& query);
-  /// Tree-splitting arbitration (kBinaryTree policy).
-  void run_binary_tree(const QueryCommand& query,
-                       const std::vector<Participant>& parts,
-                       const ReadCallback& on_read, RoundStats& stats);
-  void redraw_slots(std::vector<Participant>& parts, std::uint32_t frame_size);
+  /// Fills parts_ with the tags in the field whose flags satisfy the
+  /// query's Sel/session/target, in world order.
+  void gather_participants(const QueryCommand& query);
+  /// Tree-splitting arbitration over parts_ (kBinaryTree policy).
+  void run_binary_tree(const QueryCommand& query, const ReadCallback& on_read,
+                       RoundStats& stats);
+  /// ALOHA arbitration over parts_ (kFixedQ, kIdealDfsa, kQAdaptive).
+  void run_aloha(const QueryCommand& query, const ReadCallback& on_read,
+                 RoundStats& stats);
+  /// Opens a frame of `frame_size` slots at QueryRep tick `tick`: drops
+  /// read participants and draws every other one a reply tick.  Returns
+  /// the number of unread participants.
+  std::size_t redraw(std::uint32_t frame_size, std::uint64_t tick);
+  /// Reads participant `pi` in a successful slot: charges the slot, flips
+  /// the session flag, reports the reading and marks the participant read.
+  void read_participant(std::size_t pi, const QueryCommand& query,
+                        const ReadCallback& on_read, RoundStats& stats);
   void hop_if_due();
   /// EPC bits a tag actually backscatters (full, or truncated per Select).
   std::size_t reply_bits(const util::Epc& epc, const TagFlags& flags) const;
@@ -188,6 +224,10 @@ class Gen2Reader {
   util::SimTime next_hop_{0};
   /// Last round's converged Qfp (used when persist_q is set).
   std::optional<double> persisted_qfp_;
+  /// The current round's participants, in gather order (scratch, reused).
+  std::vector<Participant> parts_;
+  /// The current slot's responders as indexes into parts_ (scratch).
+  std::vector<std::size_t> responders_;
 };
 
 }  // namespace tagwatch::gen2

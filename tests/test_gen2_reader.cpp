@@ -265,6 +265,104 @@ TEST(Gen2Reader, AntennaSelectionIsReported) {
   EXPECT_THROW(fx.reader->set_active_antenna(2), std::out_of_range);
 }
 
+// ------------------------------------------------------ golden slot engine
+// Pinned outcomes of a few rounds per ALOHA policy.  Every slot outcome,
+// read time and RF observation hangs off the reader's RNG stream, so these
+// values pin the engine's draw order: the block draws while gathering,
+// one frame draw per unread participant per redraw (parked ones included,
+// in gather order), and the slot-error and capture draws.  Pairs of tags
+// share a position in the capture run, so capture ties are exercised too
+// (the first responder in gather order wins).
+
+struct GoldenRun {
+  const char* name;
+  AntiCollisionPolicy policy;
+  bool persist_q;
+  double capture_probability;
+  double slot_error_rate;
+  std::size_t tags;
+  std::uint8_t q;
+  int rounds;
+  // Expected outcome.
+  RoundStats total;
+  std::size_t reads;
+  std::uint64_t read_digest;
+  std::int64_t clock_us;
+};
+
+std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (v >> (8 * b)) & 0xFF;
+    h *= 0x100000001B3ull;
+  }
+  return h;
+}
+
+TEST(Gen2Reader, GoldenSlotEngineOutcomes) {
+  const GoldenRun runs[] = {
+      {"fixed_q", AntiCollisionPolicy::kFixedQ, false, 0.0, 0.0, 60, 6, 3,
+       {723, 463, 80, 180, 0, util::usec(233961)}, 180,
+       0xC7D122DBCA796D33ull, 233961},
+      {"ideal_dfsa", AntiCollisionPolicy::kIdealDfsa, false, 0.0, 0.0, 100,
+       4, 3, {852, 321, 231, 300, 0, util::usec(456621)}, 300,
+       0x3F07492CF6A3DBABull, 456621},
+      {"q_adaptive", AntiCollisionPolicy::kQAdaptive, false, 0.0, 0.0, 200,
+       4, 3, {1761, 600, 561, 600, 0, util::usec(639250)}, 600,
+       0x7EC49AE262ACFDADull, 639250},
+      {"q_adaptive_persist", AntiCollisionPolicy::kQAdaptive, true, 0.0, 0.0,
+       150, 4, 4, {1957, 718, 639, 600, 0, util::usec(696208)}, 600,
+       0xEE2B927AA5CB6F92ull, 696208},
+      {"q_adaptive_lossy_capture", AntiCollisionPolicy::kQAdaptive, false,
+       0.3, 0.1, 120, 4, 3, {878, 318, 191, 343, 26, util::usec(368851)}, 343,
+       0x4C8DEFA20632496Bull, 368851},
+  };
+  for (const GoldenRun& run : runs) {
+    SCOPED_TRACE(run.name);
+    ReaderConfig cfg;
+    cfg.policy = run.policy;
+    cfg.persist_q = run.persist_q;
+    cfg.capture_probability = run.capture_probability;
+    cfg.slot_error_rate = run.slot_error_rate;
+    ReaderFixture fx(run.tags, cfg);
+    if (run.capture_probability > 0.0) {
+      std::vector<sim::SimTag>& tags = fx.world.tags();
+      for (std::size_t i = 0; i + 1 < tags.size(); i += 2) {
+        tags[i + 1].motion = tags[i].motion;
+      }
+      for (std::size_t i = 0; i < tags.size(); i += 7) {
+        tags[i].block_probability = 0.25;
+      }
+    }
+    RoundStats total;
+    std::size_t reads = 0;
+    std::uint64_t digest = 0xCBF29CE484222325ull;
+    const ReadCallback on_read = [&](const rf::TagReading& r) {
+      ++reads;
+      digest = fnv_mix(digest, r.epc.hash());
+      digest = fnv_mix(digest, static_cast<std::uint64_t>(r.timestamp.count()));
+      digest = fnv_mix(digest, static_cast<std::uint64_t>(r.antenna));
+      digest = fnv_mix(digest, r.channel);
+    };
+    InvFlag target = InvFlag::kA;
+    for (int i = 0; i < run.rounds; ++i) {
+      QueryCommand q;
+      q.q = run.q;
+      q.target = target;
+      target = target == InvFlag::kA ? InvFlag::kB : InvFlag::kA;
+      total += fx.reader->run_inventory_round(q, on_read);
+    }
+    EXPECT_EQ(total.slots, run.total.slots);
+    EXPECT_EQ(total.empty_slots, run.total.empty_slots);
+    EXPECT_EQ(total.collision_slots, run.total.collision_slots);
+    EXPECT_EQ(total.success_slots, run.total.success_slots);
+    EXPECT_EQ(total.lost_slots, run.total.lost_slots);
+    EXPECT_EQ(total.duration, run.total.duration);
+    EXPECT_EQ(reads, run.reads);
+    EXPECT_EQ(digest, run.read_digest);
+    EXPECT_EQ(fx.world.now().count(), run.clock_us);
+  }
+}
+
 // ------------------------------------------------------ dense flag mirror
 // The reader keeps protocol flags in a dense per-tag-index vector instead
 // of the EPC-keyed FlagStore.  These tests pin the mirror to the store's

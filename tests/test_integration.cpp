@@ -208,52 +208,63 @@ TEST(TagwatchIntegration, TagEnteringMidRunIsAdopted) {
 TEST(TagwatchIntegration, IncrementalPlannerMatchesFromScratchPipeline) {
   // Two identically-seeded testbeds, one controller planning from scratch
   // each cycle, one with the persistent cross-cycle planner: every cycle's
-  // schedule must be bit-identical (cost doubles included).
-  Testbed bed_ref(30, 2, 77);
-  Testbed bed_inc(30, 2, 77);
-  TagwatchConfig cfg_ref = test_config();
-  TagwatchConfig cfg_inc = test_config();
-  cfg_inc.planner.incremental = true;
-  cfg_inc.planner.churn_threshold = 0.25;
-  // Scheduling compute runs on the host clock, so charging it would skew
-  // the two simulations apart; keep the reader clocks in lockstep.
-  cfg_ref.charge_compute_time = false;
-  cfg_inc.charge_compute_time = false;
-  TagwatchController ref(cfg_ref, *bed_ref.client);
-  TagwatchController inc(cfg_inc, *bed_inc.client);
-  EXPECT_EQ(inc.incremental_planner(), nullptr);
+  // schedule must be bit-identical (cost doubles included).  Inputs: a
+  // small scene, and the paper's E9 testbed (200 tags, 10 on the
+  // turntable).
+  struct Input {
+    std::size_t tags;
+    std::size_t movers;
+    std::uint64_t seed;
+  };
+  for (const Input& in : {Input{30, 2, 77}, Input{200, 10, 2017}}) {
+    SCOPED_TRACE(::testing::Message() << in.tags << " tags");
+    Testbed bed_ref(in.tags, in.movers, in.seed);
+    Testbed bed_inc(in.tags, in.movers, in.seed);
+    TagwatchConfig cfg_ref = test_config();
+    TagwatchConfig cfg_inc = test_config();
+    cfg_ref.planner.incremental = false;
+    cfg_inc.planner.incremental = true;
+    cfg_inc.planner.churn_threshold = 0.25;
+    // Scheduling compute runs on the host clock, so charging it would skew
+    // the two simulations apart; keep the reader clocks in lockstep.
+    cfg_ref.charge_compute_time = false;
+    cfg_inc.charge_compute_time = false;
+    TagwatchController ref(cfg_ref, *bed_ref.client);
+    TagwatchController inc(cfg_inc, *bed_inc.client);
+    EXPECT_EQ(inc.incremental_planner(), nullptr);
 
-  bool compared_selective = false;
-  for (int i = 0; i < 10; ++i) {
-    const CycleReport a = ref.run_cycle();
-    const CycleReport b = inc.run_cycle();
-    ASSERT_EQ(a.scene, b.scene) << "cycle " << i;
-    ASSERT_EQ(a.targets, b.targets) << "cycle " << i;
-    EXPECT_EQ(a.read_all_fallback, b.read_all_fallback) << "cycle " << i;
-    EXPECT_FALSE(a.planner_incremental);
-    if (b.read_all_fallback) continue;
-    compared_selective = true;
-    EXPECT_TRUE(b.planner_incremental) << "cycle " << i;
-    ASSERT_EQ(a.schedule.selections.size(), b.schedule.selections.size())
-        << "cycle " << i;
-    for (std::size_t s = 0; s < a.schedule.selections.size(); ++s) {
-      EXPECT_EQ(a.schedule.selections[s].bitmask,
-                b.schedule.selections[s].bitmask)
-          << "cycle " << i << " selection " << s;
+    std::size_t compared_selective = 0;
+    for (int i = 0; i < 10; ++i) {
+      const CycleReport a = ref.run_cycle();
+      const CycleReport b = inc.run_cycle();
+      ASSERT_EQ(a.scene, b.scene) << "cycle " << i;
+      ASSERT_EQ(a.targets, b.targets) << "cycle " << i;
+      EXPECT_EQ(a.read_all_fallback, b.read_all_fallback) << "cycle " << i;
+      EXPECT_FALSE(a.planner_incremental);
+      if (b.read_all_fallback) continue;
+      ++compared_selective;
+      EXPECT_TRUE(b.planner_incremental) << "cycle " << i;
+      ASSERT_EQ(a.schedule.selections.size(), b.schedule.selections.size())
+          << "cycle " << i;
+      for (std::size_t s = 0; s < a.schedule.selections.size(); ++s) {
+        EXPECT_EQ(a.schedule.selections[s].bitmask,
+                  b.schedule.selections[s].bitmask)
+            << "cycle " << i << " selection " << s;
+      }
+      EXPECT_EQ(a.schedule.estimated_cost_s, b.schedule.estimated_cost_s)
+          << "cycle " << i;
+      EXPECT_EQ(a.schedule.covered_union, b.schedule.covered_union)
+          << "cycle " << i;
+      EXPECT_EQ(a.schedule.used_naive_fallback,
+                b.schedule.used_naive_fallback)
+          << "cycle " << i;
     }
-    EXPECT_EQ(a.schedule.estimated_cost_s, b.schedule.estimated_cost_s)
-        << "cycle " << i;
-    EXPECT_EQ(a.schedule.covered_union, b.schedule.covered_union)
-        << "cycle " << i;
-    EXPECT_EQ(a.schedule.used_naive_fallback,
-              b.schedule.used_naive_fallback)
-        << "cycle " << i;
+    EXPECT_GT(compared_selective, 0u);
+    ASSERT_NE(inc.incremental_planner(), nullptr);
+    const auto& stats = inc.incremental_planner()->stats();
+    EXPECT_GT(stats.incremental_cycles, 0u);
+    EXPECT_EQ(stats.cycles, stats.incremental_cycles + stats.full_rebuilds);
   }
-  EXPECT_TRUE(compared_selective);
-  ASSERT_NE(inc.incremental_planner(), nullptr);
-  const auto& stats = inc.incremental_planner()->stats();
-  EXPECT_GT(stats.cycles, 0u);
-  EXPECT_EQ(stats.cycles, stats.incremental_cycles + stats.full_rebuilds);
 }
 
 TEST(TagwatchIntegration, BlockedTagToleratedWithoutDeadlock) {

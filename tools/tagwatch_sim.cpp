@@ -14,13 +14,16 @@
 //   people          = 0           walking multipath reflectors
 //   mode            = tagwatch    tagwatch | naive | read-all
 //   scheduler_evaluation = lazy   lazy | dense — greedy-cover gain
-//                                 evaluation (dense is the full-rescan
-//                                 reference path; plans are identical)
-//   planner.incremental = false   keep the Phase-II candidate structure
+//                                 evaluation of the from-scratch planner
+//                                 (dense is the full-rescan reference
+//                                 path; plans are identical)
+//   planner.incremental = true    keep the Phase-II candidate structure
 //                                 alive across cycles and patch it from
-//                                 scene/target deltas instead of
-//                                 rebuilding (tagwatch mode only; plans
-//                                 are bit-identical either way)
+//                                 scene/target deltas (tagwatch mode
+//                                 only; the library default); false
+//                                 rebuilds from scratch every cycle, the
+//                                 reference planner (plans are
+//                                 bit-identical either way)
 //   planner.churn_threshold = 0.15  delta fraction of the scene above
 //                                 which the incremental planner rebuilds
 //                                 from scratch [0,1]
@@ -369,8 +372,8 @@ int run_fleet(const util::KeyValueConfig& cfg) {
   fcfg.controller.mode = parse_mode(cfg.get_or("mode", "tagwatch"));
   fcfg.controller.greedy_evaluation =
       parse_evaluation(cfg.get_or("scheduler_evaluation", "lazy"));
-  fcfg.controller.planner.incremental =
-      cfg.get_bool_or("planner.incremental", false);
+  fcfg.controller.planner.incremental = cfg.get_bool_or(
+      "planner.incremental", core::PlannerConfig{}.incremental);
   fcfg.controller.planner.churn_threshold =
       double_in(cfg, "planner.churn_threshold", 0.15, 0.0, 1.0);
   fcfg.controller.planner.threads =
@@ -686,7 +689,8 @@ int run(int argc, char** argv) {
   twcfg.mode = mode;
   twcfg.greedy_evaluation =
       parse_evaluation(cfg.get_or("scheduler_evaluation", "lazy"));
-  twcfg.planner.incremental = cfg.get_bool_or("planner.incremental", false);
+  twcfg.planner.incremental = cfg.get_bool_or(
+      "planner.incremental", core::PlannerConfig{}.incremental);
   twcfg.planner.churn_threshold =
       double_in(cfg, "planner.churn_threshold", 0.15, 0.0, 1.0);
   twcfg.planner.threads =
