@@ -52,12 +52,12 @@ double run_trial(std::size_t k_sessions, std::uint64_t seed) {
   auto field =
       std::make_shared<gen2::TagFlagField>(gen2::SessionTiming::spec_default());
   std::set<std::string> read;
-  for (std::size_t r = 0; r < k_sessions; ++r) {
+  for (std::size_t pass = 0; pass < k_sessions; ++pass) {
     gen2::Gen2Reader reader(gen2::LinkTiming(gen2::LinkParams::max_throughput()),
                             gen2::ReaderConfig{}, world, channel, antennas,
-                            util::Rng(seed + 100 + r), field);
+                            util::Rng(seed + 100 + pass), field);
     gen2::QueryCommand q;
-    q.session = static_cast<gen2::Session>(r % 4);
+    q.session = static_cast<gen2::Session>(pass % 4);
     q.target = gen2::InvFlag::kA;
     reader.run_inventory_round(
         q, [&read](const rf::TagReading& r) { read.insert(r.epc.to_hex()); });

@@ -92,8 +92,9 @@ void print_case(std::size_t n_targets, std::uint64_t seed,
               (sum_nv / sum_all - 1.0) * 100.0);
   std::printf("collaterally covered non-targets: %zu\n\n", collateral);
 
-  const std::string label =
-      "_" + std::to_string(n_targets) + "_of_40";
+  std::string label = "_";
+  label += std::to_string(n_targets);
+  label += "_of_40";
   report.add("readall_target_mean" + label, sum_all / n, "hz");
   report.add("tagwatch_target_mean" + label, sum_tw / n, "hz");
   report.add("naive_target_mean" + label, sum_nv / n, "hz");

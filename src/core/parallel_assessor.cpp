@@ -61,7 +61,7 @@ ParallelAssessor::ParallelAssessor(AssessorConfig config, std::size_t threads)
   }
   if (mode_ != Mode::kDiff) {
     // Validate mixture parameters up front with the exact checks (and
-    // exceptions) the serial path applies on first model construction.
+    // exceptions) ImmobilityModel applies on construction.
     (void)ImmobilityModel(bank_a_.config, bank_a_.metric);
     if (mode_ == Mode::kHybrid) {
       (void)ImmobilityModel(bank_b_.config, bank_b_.metric);
@@ -252,7 +252,9 @@ void ParallelAssessor::evict(Shard& shard, std::uint32_t slot_index) {
 
 const std::vector<TagAssessment>& ParallelAssessor::assess(util::SimTime now) {
   if (!window_open_) {
-    // Window already closed: replay the cached result (see MotionAssessor).
+    // The window is already closed: replay its cached result instead of
+    // re-applying forget_after eviction at a later `now` (which would
+    // silently drop tags the window did assess).
     return last_window_;
   }
   flush();

@@ -1,33 +1,40 @@
-// Sharded, batched Phase-I ingestion engine — bit-identical to the serial
-// MotionAssessor for ANY thread count, by construction:
+// Phase I: per-tag motion assessment over inventory readings — the one
+// engine the controller and the fleet use.
+//
+// Every reading (from either phase) trains its tag's immobility models;
+// readings inside an assessment window also vote, and assess() turns the
+// votes into the mobile-tag set handed to Phase II.  The §4.3 "reading
+// exceptions" policy lives here too: state for tags that leave the field
+// for a long time is dropped; unknown tags are admitted (and initially
+// presumed mobile) on their first reading.
+//
+// The engine is sharded and batched, and its output is identical for ANY
+// thread count, by construction:
 //
 //  * ingest() is serial and cheap: it routes the reading to a shard chosen
 //    by the stable content hash of the EPC, so every reading of one tag
 //    lands on the same shard in arrival order;
 //  * per-tag detector state depends only on that tag's own readings, so
 //    shards can drain concurrently (util::TaskPool fork/join) while each
-//    tag still sees exactly the serial per-reading update — both paths
-//    call the shared mog_* kernels of core/immobility.hpp;
-//  * assess() merges shard results and sorts by EPC, the same order the
-//    serial assessor emits, so assessments (and everything derived from
-//    them: CycleReports, journal digests) are byte-equal whether the
-//    engine runs with 1 thread or 8.
+//    tag still sees exactly the per-reading update of the readable
+//    MotionDetector classes — both call the shared mog_* kernels of
+//    core/immobility.hpp;
+//  * assess() merges shard results and sorts by EPC, so assessments (and
+//    everything derived from them: CycleReports, journal digests) are
+//    byte-equal whether the engine runs with 1 thread or 8.
 //
-// The speedup over MotionAssessor does not come from threads alone: the
-// engine replaces the serial path's pointer-chasing layout (unordered_map
-// node per tag, std::map tree walk per (antenna, channel) model, one heap
-// vector per model, a std::stable_sort temporary buffer per observation)
-// with dense per-slot storage — keyed states in a sorted vector, Gaussian
-// components in pooled fixed-capacity blocks per shard — so the hot loop
-// is allocation-free and mostly sequential.  bench_phase1_scaling measures
-// both effects.
+// State is dense per-slot storage — keyed states in a sorted vector,
+// Gaussian components in pooled fixed-capacity blocks per shard — so the
+// hot loop is allocation-free and mostly sequential.  The differential
+// tests compare it against a serial one-MotionDetector-per-tag oracle
+// (tests/oracle); bench_phase1_scaling measures its thread scaling.
 #pragma once
 
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
 
-#include "core/assessor.hpp"
+#include "core/detectors.hpp"
 #include "rf/measurement.hpp"
 #include "util/epc.hpp"
 #include "util/sim_time.hpp"
@@ -35,18 +42,37 @@
 
 namespace tagwatch::core {
 
-/// Drop-in batched replacement for MotionAssessor (same window protocol:
-/// begin_window / ingest / assess).  Readings buffer in per-shard queues
-/// and are drained on flush(), which begin_window() and assess() call
-/// implicitly — detector state is always current at every observable
-/// boundary, it just lags between them.
+/// Assessor tuning.
+struct AssessorConfig {
+  DetectorKind detector_kind = DetectorKind::kPhaseMog;
+  DetectorConfig detector = {};
+  /// Tags unseen for longer than this are forgotten (models removed).
+  util::SimDuration forget_after = util::sec(60);
+  /// A tag is assessed mobile when at least this many of its readings in
+  /// the window were flagged as motion.  1 maximizes sensitivity (a single
+  /// unexplained phase on any antenna/channel marks the tag).
+  std::size_t mobile_vote_threshold = 1;
+};
+
+/// Per-tag assessment summary for one window.
+struct TagAssessment {
+  util::Epc epc;
+  std::size_t window_readings = 0;
+  std::size_t moving_votes = 0;
+  bool mobile = false;
+};
+
+/// Phase-I motion assessor (window protocol: begin_window / ingest /
+/// assess).  Readings buffer in per-shard queues and are drained on
+/// flush(), which begin_window() and assess() call implicitly — detector
+/// state is always current at every observable boundary, it just lags
+/// between them.
 class ParallelAssessor {
  public:
   /// `threads` sizes the TaskPool and the shard count.  Any value yields
   /// identical output; more threads only buy ingestion throughput.
-  /// Mixture parameters are validated here (the serial path defers to the
-  /// first model construction) — throws std::invalid_argument like
-  /// ImmobilityModel does.
+  /// Mixture parameters are validated here — throws std::invalid_argument
+  /// like ImmobilityModel does.
   explicit ParallelAssessor(AssessorConfig config = {},
                             std::size_t threads = 1);
 
@@ -103,8 +129,8 @@ class ParallelAssessor {
     static constexpr std::uint32_t kNoBlock = 0xffffffffu;
   };
 
-  /// Dense per-tag state (the engine's analogue of MotionAssessor's
-  /// TagState + MotionDetector).
+  /// Dense per-tag state: window vote counters plus one KeyedState per
+  /// (antenna, channel) model.
   struct TagSlot {
     util::Epc epc;
     util::SimTime last_seen{0};

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "core/assessor.hpp"
 #include "core/history.hpp"
 #include "core/parallel_assessor.hpp"
 
@@ -61,31 +60,6 @@ ReadingSink* ReadingPipeline::find(std::string_view name) {
   return nullptr;
 }
 
-void ReadingPipeline::dispatch(const rf::TagReading& reading,
-                               const ReadingContext& context) {
-  ++dispatched_;
-  for (Entry& entry : entries_) {
-    SinkStats& stats = stats_slot(entry, context.source_id);
-    const double t0 = clock_->now_seconds();
-    bool accepted = false;
-    try {
-      accepted = entry.sink->on_reading(reading, context);
-    } catch (const std::exception&) {
-      // A misbehaving sink loses its own reading, never anyone else's:
-      // delivery continues to the remaining sinks and the cycle survives.
-      ++stats.exceptions;
-    }
-    stats.dispatch_seconds += clock_->now_seconds() - t0;
-    ++stats.batches;
-    if (accepted) {
-      ++stats.delivered;
-      if (context.recovered) ++stats.recovered;
-    } else {
-      ++stats.dropped;
-    }
-  }
-}
-
 void ReadingPipeline::dispatch_batch(
     const std::vector<rf::TagReading>& readings,
     const ReadingContext& context) {
@@ -99,8 +73,8 @@ void ReadingPipeline::dispatch_batch(
       try {
         accepted = entry.sink->on_reading(reading, context);
       } catch (const std::exception&) {
-        // Same isolation as dispatch(): a throwing sink loses its own
-        // reading, never anyone else's.
+        // A misbehaving sink loses its own reading, never anyone else's:
+        // delivery continues to the remaining sinks and the cycle survives.
         ++stats.exceptions;
       }
       if (accepted) {
@@ -139,13 +113,6 @@ bool HistorySink::on_reading(const rf::TagReading& reading,
                              const ReadingContext& context) {
   (void)context;
   history_->record(reading);
-  return true;
-}
-
-bool AssessorSink::on_reading(const rf::TagReading& reading,
-                              const ReadingContext& context) {
-  (void)context;
-  assessor_->ingest(reading);
   return true;
 }
 

@@ -22,7 +22,6 @@ namespace tagwatch::core {
 
 struct CycleReport;  // core/tagwatch.hpp
 class HistoryDatabase;
-class MotionAssessor;
 class ParallelAssessor;
 
 /// Which controller phase produced a reading.
@@ -81,9 +80,9 @@ struct SinkStats {
   /// in `dropped`) plus on_cycle_end throws.  A throwing sink is isolated:
   /// delivery continues to the remaining sinks and the cycle never crashes.
   std::uint64_t exceptions = 0;
-  /// Timed delivery calls: one per dispatch(), one per non-empty
-  /// dispatch_batch().  dispatch_seconds accrues one clock-pair per batch,
-  /// so `dispatch_seconds / batches` is the exact per-call cost under a
+  /// Timed delivery calls: one per non-empty dispatch_batch().
+  /// dispatch_seconds accrues one clock-pair per batch, so
+  /// `dispatch_seconds / batches` is the exact per-call cost under a
   /// FakeWallClock.
   std::uint64_t batches = 0;
   double dispatch_seconds = 0;  ///< Host wall time spent inside the sink.
@@ -117,15 +116,13 @@ class ReadingPipeline {
 
   std::size_t sink_count() const noexcept { return entries_.size(); }
 
-  /// Delivers one reading to every sink, timing each dispatch.
-  void dispatch(const rf::TagReading& reading, const ReadingContext& context);
-
   /// Delivers a whole batch sink-by-sink (sink A sees the full batch
   /// before sink B sees any of it — sinks are independent consumers, so
-  /// per-reading interleaving was never observable).  Accounting is exact
-  /// per reading (delivered/dropped/exceptions identical to dispatch()
-  /// called in a loop), but the wall clock is read once per sink per
-  /// batch instead of once per sink per reading.
+  /// per-reading interleaving is not observable).  Accounting is exact
+  /// per reading (delivered/dropped/exceptions), but the wall clock is
+  /// read once per sink per batch, not once per sink per reading.  A
+  /// sink that throws loses that reading only: delivery continues to the
+  /// remaining readings and sinks, and the cycle survives.
   void dispatch_batch(const std::vector<rf::TagReading>& readings,
                       const ReadingContext& context);
 
@@ -195,22 +192,7 @@ class HistorySink final : public ReadingSink {
 
 /// Feeds every reading to the motion assessor (immobility-model training —
 /// Phase II readings continuing to train is what makes state transitions
-/// converge within about one cycle, §4.3).
-class AssessorSink final : public ReadingSink {
- public:
-  /// `assessor` must outlive the sink.
-  explicit AssessorSink(MotionAssessor& assessor) : assessor_(&assessor) {}
-
-  std::string_view name() const override { return "assessor"; }
-  bool on_reading(const rf::TagReading& reading,
-                  const ReadingContext& context) override;
-
- private:
-  MotionAssessor* assessor_;
-};
-
-/// AssessorSink for the sharded ingestion engine.  Shares the name
-/// "assessor" so the two are interchangeable within a pipeline.
+/// converge within about one cycle, §4.3).  Named "assessor".
 class ParallelAssessorSink final : public ReadingSink {
  public:
   /// `assessor` must outlive the sink.

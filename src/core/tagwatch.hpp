@@ -4,7 +4,8 @@
 // upper applications (Fig. 5).  Each cycle:
 //
 //   Phase I  — inventory ALL tags briefly; assess each tag's motion state
-//              from its backscatter phase (MotionAssessor).
+//              from its backscatter phase (ParallelAssessor, fed through
+//              the pipeline one batch per inventory round).
 //   Phase II — cover the target tags (assessed-mobile ∪ user-pinned) with
 //              Select bitmasks chosen by greedy set cover, then read only
 //              that subpopulation intensively for the rest of the cycle.
@@ -26,7 +27,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/assessor.hpp"
 #include "core/history.hpp"
 #include "core/incremental_planner.hpp"
 #include "core/parallel_assessor.hpp"

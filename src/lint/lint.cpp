@@ -7,7 +7,6 @@
 #include <string_view>
 
 #include "lint/call_graph.hpp"
-#include "lint/lock_graph.hpp"
 #include "lint/nondet.hpp"
 #include "lint/symbol_index.hpp"
 #include "lint/taint.hpp"
@@ -227,11 +226,28 @@ void check_include_order(const SourceFile& file, const std::string& raw,
 
 // ------------------------------------------------------------- rule T
 
-/// The one sanctioned home for raw threads (util::TaskPool's own files);
-/// everywhere else concurrency must route through the pool so fork/join
-/// structure — and with it, determinism — is preserved by construction.
+/// The one sanctioned home for raw threads and mutexes (util::TaskPool's
+/// own files); everywhere else concurrency must route through the pool so
+/// fork/join structure — and with it, determinism — is preserved by
+/// construction.
 bool is_task_pool_file(std::string_view path) {
   return path.find("src/util/task_pool.") != std::string_view::npos;
+}
+
+/// True when `pos` follows `lock_guard<` (or `unique_lock<`,
+/// `scoped_lock<`, `shared_lock<`): the mutex type there is a RAII guard's
+/// template argument — a use of some mutex, not a declaration of one.
+bool is_guard_argument(const std::string& text, std::size_t pos) {
+  std::size_t i = pos;
+  while (i > 0 && std::isspace(static_cast<unsigned char>(text[i - 1]))) --i;
+  if (i == 0 || text[i - 1] != '<') return false;
+  --i;
+  while (i > 0 && std::isspace(static_cast<unsigned char>(text[i - 1]))) --i;
+  const std::size_t end = i;
+  while (i > 0 && is_ident_char(text[i - 1])) --i;
+  const std::string_view name(text.data() + i, end - i);
+  return name == "lock_guard" || name == "unique_lock" ||
+         name == "scoped_lock" || name == "shared_lock";
 }
 
 void check_threading(const SourceFile& file, const std::string& scrubbed,
@@ -280,6 +296,28 @@ void check_threading(const SourceFile& file, const std::string& scrubbed,
                        "threading-discipline", message});
       }
       pos += member.size();
+    }
+  }
+  // (d) Mutex declarations.  util::TaskPool holds the tree's one mutex;
+  // with a single mutex no acquisition-order cycle can exist, so none
+  // needs analysing (the TSan CI job still catches double locks at run
+  // time).  A second mutex anywhere else is flagged here.
+  for (const std::string_view type :
+       {std::string_view("mutex"), std::string_view("recursive_mutex"),
+        std::string_view("shared_mutex"), std::string_view("timed_mutex"),
+        std::string_view("recursive_timed_mutex"),
+        std::string_view("shared_timed_mutex")}) {
+    std::size_t pos = 0;
+    while ((pos = find_identifier(scrubbed, type, pos)) !=
+           std::string::npos) {
+      if (pos >= 5 && scrubbed.compare(pos - 5, 5, "std::") == 0 &&
+          !is_guard_argument(scrubbed, pos - 5)) {
+        out.push_back({file.path, line_of(scrubbed, pos),
+                       "threading-discipline",
+                       "std::" + std::string(type) +
+                           " declared outside util::TaskPool"});
+      }
+      pos += type.size();
     }
   }
 }
@@ -374,7 +412,7 @@ void check_pipeline_reentrancy(const SourceFile& file,
       if (body_end == std::string::npos) continue;
       // The hazard: a sink hook driving the transport re-enters the
       // controller mid-cycle (found by inspection of core/pipeline.cpp —
-      // dispatch() runs inside the controller's execute loop).
+      // dispatch_batch() runs inside the controller's execute loop).
       std::size_t call = cur;
       while ((call = find_identifier(scrubbed, "execute", call)) !=
                  std::string::npos &&
@@ -677,8 +715,8 @@ const std::vector<RuleInfo>& RuleEngine::rules() {
        "ReaderErrorKind enumerators and journal record tags stay in sync "
        "across serializer, parser, health digest, and fault injector"},
       {"threading-discipline",
-       "raw threads only inside util::TaskPool; mutexes held via RAII "
-       "guards, never explicit lock()/unlock()"},
+       "raw threads and mutex declarations only inside util::TaskPool; "
+       "mutexes held via RAII guards, never explicit lock()/unlock()"},
       {"simd-discipline",
        "raw vector intrinsics and intrinsics headers only inside the "
        "util::simd module, which is also the only code in src/ that "
@@ -687,9 +725,6 @@ const std::vector<RuleInfo>& RuleEngine::rules() {
        "no journaled function reaches a wall-clock/entropy read through "
        "any call chain (interprocedural; util::WallClock is the sanctioned "
        "seam)"},
-      {"lock-order",
-       "mutex acquisition order is cycle-free and no lock is held across "
-       "execute() or pipeline sink dispatch (interprocedural)"},
   };
   return catalog;
 }
@@ -718,11 +753,10 @@ LintReport RuleEngine::run(const std::vector<SourceFile>& files) const {
   }
   check_journal_discipline(files, raw_findings);
 
-  // Whole-tree call-graph rules: index once, share between analyses.
+  // Whole-tree call-graph rule.
   const SymbolIndex index = build_symbol_index(files);
   const CallGraph graph = build_call_graph(index);
   check_determinism_taint(index, graph, raw_findings);
-  check_lock_graph(index, graph, raw_findings);
 
   // Apply allow() suppressions and count annotations per file.
   std::map<std::string, AllowIndex> allows;

@@ -21,23 +21,23 @@
 //   journal-discipline     (J) ReaderErrorKind enumerators and journal
 //                              record tags are handled in serializer,
 //                              parser, and health digest alike
-//   threading-discipline   (T) raw std::thread/std::jthread/std::async and
-//                              detach() only inside util::TaskPool's own
-//                              files; mutexes held via RAII guards, never
-//                              explicit lock()/unlock()
+//   threading-discipline   (T) raw std::thread/std::jthread/std::async,
+//                              detach() and std::*mutex declarations only
+//                              inside util::TaskPool's own files (one
+//                              mutex in the tree, so no acquisition-order
+//                              cycle can exist); mutexes held via RAII
+//                              guards, never explicit lock()/unlock()
+//   simd-discipline        (V) raw vector intrinsics only inside the
+//                              util::simd module
 //   determinism-taint      (G) whole-tree call-graph rule: a journaled
 //                              function must not *reach* a wall-clock/
 //                              entropy read through any chain of calls
 //                              (src/util wrappers can no longer launder
 //                              nondeterminism in); the WallClock seam is
 //                              the one sanctioned boundary
-//   lock-order             (G) whole-tree call-graph rule: RAII mutex
-//                              acquisitions must be cycle-free in
-//                              acquisition order, and no lock may be
-//                              held across execute()/sink dispatch
 //
-// The (G) rules run on a heuristic symbol index + call graph built over
-// the full file set (symbol_index.hpp / call_graph.hpp); their model and
+// The (G) rule runs on a heuristic symbol index + call graph built over
+// the full file set (symbol_index.hpp / call_graph.hpp); its model and
 // blind spots are documented in docs/STATIC_ANALYSIS.md.
 //
 // Escape hatch: a finding on line N is suppressed when line N or N-1

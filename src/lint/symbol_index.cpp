@@ -338,17 +338,6 @@ void index_file(const SourceFile& file, std::size_t file_index,
               const std::string prefix = scope_prefix(stack);
               def.qualified =
                   prefix.empty() ? written : prefix + "::" + written;
-              if (parts.size() >= 2) {
-                def.owner = parts[parts.size() - 2];
-              } else {
-                for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
-                  if (it->kind == Scope::Kind::kClass) {
-                    def.owner = it->name;
-                    break;
-                  }
-                  if (it->kind == Scope::Kind::kFunction) break;
-                }
-              }
               def.file = file.path;
               def.file_index = file_index;
               def.line = line_at(scrubbed, tokens[name_tok].pos);

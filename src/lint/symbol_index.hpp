@@ -38,10 +38,6 @@ struct FunctionDef {
   /// scopes plus any written qualifiers
   /// ("tagwatch::core::ReadingPipeline::dispatch").
   std::string qualified;
-  /// Enclosing class (written `Class::` prefix or the class scope the
-  /// inline definition sits in); empty for free functions.  Used by the
-  /// lock analysis to qualify member mutexes.
-  std::string owner;
   std::string file;            ///< Repo-relative path.
   std::size_t file_index = 0;  ///< Into the files vector handed to build.
   std::size_t line = 0;        ///< 1-based, of the name token.

@@ -377,6 +377,29 @@ TEST(LintThreading, TaskPoolFilesAreExempt) {
                        "threading-discipline"));
 }
 
+TEST(LintThreading, MutexDeclaredOutsideTaskPoolIsFlagged) {
+  const char* member = "class Cache {\n  std::mutex mutex_;\n};\n";
+  const LintReport r = run_one("src/core/cache.cpp", member);
+  ASSERT_EQ(r.findings.size(), 1u);
+  EXPECT_EQ(r.findings[0].rule, "threading-discipline");
+  EXPECT_EQ(r.findings[0].line, 2u);
+  for (const char* type : {"recursive_mutex", "shared_mutex", "timed_mutex"}) {
+    SCOPED_TRACE(type);
+    const std::string decl = "static std::" + std::string(type) + " m;\n";
+    EXPECT_TRUE(has_rule(run_one("src/core/cache.cpp", decl),
+                         "threading-discipline"));
+  }
+}
+
+TEST(LintThreading, MutexInTaskPoolCommentOrStringIsNotFlagged) {
+  const char* member = "class TaskPool {\n  std::mutex mutex_;\n};\n";
+  EXPECT_TRUE(run_one("src/util/task_pool.cpp", member).findings.empty());
+  const char* comment = "// a std::mutex member is flagged\n";
+  EXPECT_TRUE(run_one("src/core/cache.cpp", comment).findings.empty());
+  const char* literal = "const char* s = \"std::mutex m;\";\n";
+  EXPECT_TRUE(run_one("src/core/cache.cpp", literal).findings.empty());
+}
+
 // -------------------------------------------------- simd-discipline (V)
 
 TEST(LintSimd, FlagsRawIntrinsicsOutsideSimdModule) {
@@ -450,8 +473,7 @@ TEST(LintEngine, RuleNamesAreStable) {
   const std::vector<std::string> expected = {
       "determinism",          "header-pragma-once",  "header-using-namespace",
       "include-order",        "pipeline-reentrancy", "journal-discipline",
-      "threading-discipline", "simd-discipline",     "determinism-taint",
-      "lock-order"};
+      "threading-discipline", "simd-discipline",     "determinism-taint"};
   EXPECT_EQ(names, expected);
 }
 

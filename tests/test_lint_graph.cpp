@@ -1,10 +1,9 @@
-// The whole-tree call-graph rules: determinism taint must chase a clock
+// The whole-tree call-graph rule: determinism taint must chase a clock
 // read through any chain of src/ helpers into a journaled function (and
-// stay quiet when the same helper is only used off-line), and the lock
-// analysis must flag acquisition-order cycles and locks held across
-// transport/sink dispatch.  The known blind spots of the heuristic
-// symbol index — function pointers, virtual dispatch by name — are
-// pinned as tests too, so a future "fix" that changes them is loud.
+// stay quiet when the same helper is only used off-line).  The known
+// blind spots of the heuristic symbol index — function pointers, virtual
+// dispatch by name — are pinned as tests too, so a future "fix" that
+// changes them is loud.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -47,10 +46,8 @@ TEST(LintSymbolIndex, FindsDefinitionsAndCallSites) {
   ASSERT_EQ(index.functions.size(), 2u);
   EXPECT_EQ(index.functions[0].name, "helper");
   EXPECT_EQ(index.functions[0].qualified, "tagwatch::util::helper");
-  EXPECT_EQ(index.functions[0].owner, "");
   EXPECT_EQ(index.functions[1].name, "poke");
   EXPECT_EQ(index.functions[1].qualified, "tagwatch::util::Widget::poke");
-  EXPECT_EQ(index.functions[1].owner, "Widget");
   ASSERT_EQ(index.calls_by_function.size(), 2u);
   ASSERT_EQ(index.calls_by_function[1].size(), 1u);
   EXPECT_EQ(index.calls[index.calls_by_function[1][0]].callee_name, "helper");
@@ -290,187 +287,6 @@ TEST(LintTaintLimitations, VirtualDispatchResolvesByNameToAllImpls) {
             std::string::npos);
 }
 
-// ---------------------------------------------------------- lock-order
-
-TEST(LintLockOrder, AbBaAcquisitionCycleIsFlagged) {
-  const LintReport r = run_files({
-      {"src/util/account.cpp",
-       "namespace tagwatch::util {\n"
-       "void Account::credit() {\n"
-       "  std::lock_guard<std::mutex> a(a_);\n"
-       "  std::lock_guard<std::mutex> b(b_);\n"
-       "  apply();\n"
-       "}\n"
-       "void Account::debit() {\n"
-       "  std::lock_guard<std::mutex> b(b_);\n"
-       "  std::lock_guard<std::mutex> a(a_);\n"
-       "  apply();\n"
-       "}\n"
-       "}  // namespace tagwatch::util\n"},
-  });
-  const std::vector<Finding> locks = findings_of(r, "lock-order");
-  ASSERT_EQ(locks.size(), 1u);  // One finding per cycle, not per edge.
-  EXPECT_NE(locks[0].message.find("lock-order cycle"), std::string::npos);
-  EXPECT_NE(locks[0].message.find("'Account::a_'"), std::string::npos);
-  EXPECT_NE(locks[0].message.find("'Account::b_'"), std::string::npos);
-}
-
-TEST(LintLockOrder, ConsistentAcquisitionOrderPasses) {
-  const LintReport r = run_files({
-      {"src/util/account.cpp",
-       "namespace tagwatch::util {\n"
-       "void Account::credit() {\n"
-       "  std::lock_guard<std::mutex> a(a_);\n"
-       "  std::lock_guard<std::mutex> b(b_);\n"
-       "}\n"
-       "void Account::debit() {\n"
-       "  std::lock_guard<std::mutex> a(a_);\n"
-       "  std::lock_guard<std::mutex> b(b_);\n"
-       "}\n"
-       "}  // namespace tagwatch::util\n"},
-  });
-  EXPECT_TRUE(r.findings.empty());
-}
-
-TEST(LintLockOrder, ScopedLockGroupIsDeadlockFreeByConstruction) {
-  // std::scoped_lock's own argument list locks atomically; opposite
-  // orders across two functions must not read as a cycle.
-  const LintReport r = run_files({
-      {"src/util/swap.cpp",
-       "namespace tagwatch::util {\n"
-       "void Swap::fwd() { std::scoped_lock all(a_, b_); }\n"
-       "void Swap::rev() { std::scoped_lock all(b_, a_); }\n"
-       "}  // namespace tagwatch::util\n"},
-  });
-  EXPECT_TRUE(r.findings.empty());
-}
-
-TEST(LintLockOrder, InterproceduralCycleThroughACalleeIsFlagged) {
-  const LintReport r = run_files({
-      {"src/util/cross.cpp",
-       "namespace tagwatch::util {\n"
-       "void Registry::publish() {\n"
-       "  std::lock_guard<std::mutex> g(list_mutex_);\n"
-       "  notify();\n"
-       "}\n"
-       "void Registry::notify() {\n"
-       "  std::lock_guard<std::mutex> g(subs_mutex_);\n"
-       "}\n"
-       "void Registry::unsubscribe() {\n"
-       "  std::lock_guard<std::mutex> g(subs_mutex_);\n"
-       "  prune();\n"
-       "}\n"
-       "void Registry::prune() {\n"
-       "  std::lock_guard<std::mutex> g(list_mutex_);\n"
-       "}\n"
-       "}  // namespace tagwatch::util\n"},
-  });
-  const std::vector<Finding> locks = findings_of(r, "lock-order");
-  ASSERT_EQ(locks.size(), 1u);
-  EXPECT_NE(locks[0].message.find("lock-order cycle"), std::string::npos);
-  EXPECT_NE(locks[0].message.find("'Registry::list_mutex_'"),
-            std::string::npos);
-  EXPECT_NE(locks[0].message.find("'Registry::subs_mutex_'"),
-            std::string::npos);
-}
-
-TEST(LintLockOrder, SelfDeadlockThroughACalleeIsFlagged) {
-  const LintReport r = run_files({
-      {"src/util/cache.cpp",
-       "namespace tagwatch::util {\n"
-       "int Cache::get() {\n"
-       "  std::lock_guard<std::mutex> g(mu_);\n"
-       "  refill();\n"
-       "  return hits_;\n"
-       "}\n"
-       "void Cache::refill() {\n"
-       "  std::lock_guard<std::mutex> g(mu_);\n"
-       "}\n"
-       "}  // namespace tagwatch::util\n"},
-  });
-  const std::vector<Finding> locks = findings_of(r, "lock-order");
-  ASSERT_EQ(locks.size(), 1u);
-  EXPECT_NE(locks[0].message.find("re-acquired while already held"),
-            std::string::npos);
-  EXPECT_NE(locks[0].message.find("'Cache::mu_'"), std::string::npos);
-}
-
-TEST(LintLockOrder, LockHeldAcrossExecuteIsFlagged) {
-  const LintReport r = run_files({
-      {"src/core/bad_ctrl.cpp",
-       "namespace tagwatch::core {\n"
-       "void Controller::run() {\n"
-       "  std::lock_guard<std::mutex> guard(state_mutex_);\n"
-       "  client_->execute(spec_);\n"
-       "}\n"
-       "}  // namespace tagwatch::core\n"},
-  });
-  const std::vector<Finding> locks = findings_of(r, "lock-order");
-  ASSERT_EQ(locks.size(), 1u);
-  EXPECT_EQ(locks[0].line, 4u);
-  EXPECT_NE(locks[0].message.find("'Controller::state_mutex_'"),
-            std::string::npos);
-  EXPECT_NE(locks[0].message.find("held across 'execute()'"),
-            std::string::npos);
-}
-
-TEST(LintLockOrder, LockHeldAcrossDispatchTransitivelyIsFlagged) {
-  const LintReport r = run_files({
-      {"src/core/bad_ctrl.cpp",
-       "namespace tagwatch::core {\n"
-       "void Controller::step() {\n"
-       "  std::lock_guard<std::mutex> g(m_);\n"
-       "  refresh();\n"
-       "}\n"
-       "void Controller::refresh() {\n"
-       "  client_->execute(spec_);\n"
-       "}\n"
-       "}  // namespace tagwatch::core\n"},
-  });
-  const std::vector<Finding> locks = findings_of(r, "lock-order");
-  ASSERT_EQ(locks.size(), 1u);
-  EXPECT_NE(locks[0].message.find("tagwatch::core::Controller::refresh"),
-            std::string::npos);
-  EXPECT_NE(
-      locks[0].message.find("reaches transport execute()/sink dispatch"),
-      std::string::npos);
-}
-
-TEST(LintLockOrder, GuardReleasedBeforeDispatchPasses) {
-  // The house idiom: take the snapshot under the lock in its own block,
-  // dispatch after the guard has died.
-  const LintReport r = run_files({
-      {"src/core/ok_ctrl.cpp",
-       "namespace tagwatch::core {\n"
-       "void Controller::run() {\n"
-       "  Spec spec;\n"
-       "  {\n"
-       "    std::lock_guard<std::mutex> guard(state_mutex_);\n"
-       "    spec = pending_;\n"
-       "  }\n"
-       "  client_->execute(spec);\n"
-       "}\n"
-       "}  // namespace tagwatch::core\n"},
-  });
-  EXPECT_TRUE(r.findings.empty());
-}
-
-TEST(LintLockOrder, DeferLockIsNotAnAcquisition) {
-  const LintReport r = run_files({
-      {"src/util/defer.cpp",
-       "namespace tagwatch::util {\n"
-       "void Pair::swap_halves() {\n"
-       "  std::unique_lock<std::mutex> la(a_, std::defer_lock);\n"
-       "  std::unique_lock<std::mutex> lb(b_, std::defer_lock);\n"
-       "}\n"
-       "void Pair::reverse() {\n"
-       "  std::lock_guard<std::mutex> lb(b_);\n"
-       "}\n"
-       "}  // namespace tagwatch::util\n"},
-  });
-  EXPECT_TRUE(r.findings.empty());
-}
-
 // --------------------------------------------------------------- SARIF
 
 TEST(LintSarif, EscapesJsonStringBodies) {
@@ -506,7 +322,7 @@ TEST(LintSarif, LogCarriesSchemaDriverRulesAndResults) {
 TEST(LintSarif, EmptyRunStillListsTheRuleCatalog) {
   const std::string sarif = to_sarif({});
   EXPECT_NE(sarif.find("\"results\": ["), std::string::npos);
-  EXPECT_NE(sarif.find("\"id\": \"lock-order\""), std::string::npos);
+  EXPECT_NE(sarif.find("\"id\": \"determinism-taint\""), std::string::npos);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // core::ParallelAssessor differential suite: the engine's one promise is
-// bit-identical output to the serial MotionAssessor for EVERY thread
+// bit-identical output to the serial oracle::MotionAssessor for EVERY thread
 // count, so every test here replays one reading stream through both and
 // demands field-for-field equality — randomized scenes up to 4,096 tags,
 // corrupt (fault-injected) readings, duplicate reads, out-of-window
@@ -14,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "core/assessor.hpp"
+#include "oracle/motion_assessor.hpp"
 #include "rf/measurement.hpp"
 #include "util/epc.hpp"
 #include "util/rng.hpp"
@@ -22,6 +22,8 @@
 
 namespace tagwatch::core {
 namespace {
+
+using oracle::MotionAssessor;
 
 constexpr std::size_t kThreadCounts[] = {1, 2, 4, 8};
 
@@ -264,8 +266,8 @@ TEST(ParallelAssessor, AssessBeforeAnyWindowIsEmpty) {
 }
 
 TEST(ParallelAssessor, InvalidDetectorConfigThrowsEagerly) {
-  // The serial path validates lazily at first detector construction; the
-  // engine fails fast in the constructor instead.
+  // The serial oracle validates lazily at first detector construction;
+  // the engine fails fast in the constructor instead.
   AssessorConfig config;
   config.detector.phase_mog.learning_rate = 1.5;
   EXPECT_THROW(ParallelAssessor(config, 2), std::invalid_argument);

@@ -53,7 +53,8 @@ TEST(ReadingPipeline, DispatchesToEverySinkInOrder) {
   pipeline.add_sink(second);
   ASSERT_EQ(pipeline.sink_count(), 2u);
 
-  pipeline.dispatch(make_reading(), {/*cycle_index=*/3, ReadPhase::kPhase2});
+  pipeline.dispatch_batch({make_reading()},
+                          {/*cycle_index=*/3, ReadPhase::kPhase2});
   EXPECT_EQ(first->seen_, 1u);
   EXPECT_EQ(second->seen_, 1u);
   EXPECT_EQ(second->last_phase_, ReadPhase::kPhase2);
@@ -74,7 +75,7 @@ TEST(ReadingPipeline, DecliningSinkCountsAsDroppedAndDeliveryContinues) {
   pipeline.add_sink(taker);
 
   for (int i = 0; i < 5; ++i) {
-    pipeline.dispatch(make_reading(static_cast<std::uint64_t>(i)), {});
+    pipeline.dispatch_batch({make_reading(static_cast<std::uint64_t>(i))}, {});
   }
   const auto stats = pipeline.stats();
   EXPECT_EQ(stats[0].delivered, 0u);
@@ -96,8 +97,8 @@ TEST(ReadingPipeline, RecoveredDeliveriesAreCountedPerAcceptingSink) {
 
   const ReadingContext recovered{0, ReadPhase::kPhase2, /*source_id=*/0,
                                  /*recovered=*/true};
-  pipeline.dispatch(make_reading(1), recovered);
-  pipeline.dispatch(make_reading(2), {});  // Ordinary delivery: not counted.
+  pipeline.dispatch_batch({make_reading(1)}, recovered);
+  pipeline.dispatch_batch({make_reading(2)}, {});  // Ordinary: not counted.
   pipeline.dispatch_batch({make_reading(3), make_reading(4)}, recovered);
 
   const auto stats = pipeline.stats();
@@ -138,7 +139,7 @@ TEST(ReadingPipeline, ThrowingSinkLosesOnlyItsOwnReadings) {
   pipeline.add_sink(after);
 
   for (int i = 0; i < 6; ++i) {
-    pipeline.dispatch(make_reading(static_cast<std::uint64_t>(i)), {});
+    pipeline.dispatch_batch({make_reading(static_cast<std::uint64_t>(i))}, {});
   }
 
   // Neighbours are untouched; the bomb's throws count as dropped, and the
@@ -209,8 +210,9 @@ TEST(ReadingPipeline, EndCycleReachesEverySink) {
 }
 
 TEST(ReadingPipeline, FakeClockMakesDispatchLatencyExact) {
-  // Each dispatch brackets a sink call with two clock reads; an auto-step
-  // fake therefore charges exactly one step per sink per reading.
+  // Each batch brackets its sink calls with two clock reads; with one
+  // reading per batch an auto-step fake charges exactly one step per sink
+  // per reading.
   util::FakeWallClock clock(/*auto_step=*/0.25);
   ReadingPipeline pipeline;
   pipeline.set_wall_clock(clock);
@@ -220,7 +222,7 @@ TEST(ReadingPipeline, FakeClockMakesDispatchLatencyExact) {
   pipeline.add_sink(refuser);
 
   for (int i = 0; i < 4; ++i) {
-    pipeline.dispatch(make_reading(static_cast<std::uint64_t>(i)), {});
+    pipeline.dispatch_batch({make_reading(static_cast<std::uint64_t>(i))}, {});
   }
 
   const auto stats = pipeline.stats();
@@ -236,7 +238,7 @@ TEST(ReadingPipeline, ThrowingSinkStillChargesDispatchTime) {
   ReadingPipeline pipeline;
   pipeline.set_wall_clock(clock);
   pipeline.add_sink(std::make_shared<ThrowingSink>("bomb"));
-  pipeline.dispatch(make_reading(), {});
+  pipeline.dispatch_batch({make_reading()}, {});
   const auto stats = pipeline.stats();
   EXPECT_EQ(stats[0].exceptions, 1u);
   EXPECT_DOUBLE_EQ(stats[0].dispatch_seconds, 0.5);
@@ -250,37 +252,6 @@ std::vector<rf::TagReading> make_batch(std::size_t n) {
     batch.push_back(make_reading(i * 100));
   }
   return batch;
-}
-
-TEST(ReadingPipeline, BatchDispatchCountsMatchPerReadingDispatch) {
-  // Accounting equivalence: delivered / dropped / exceptions / total are
-  // exactly what N individual dispatch() calls would have produced; only
-  // the wall-clock charging is amortized (one clock-pair per batch).
-  const auto batch = make_batch(9);
-  ReadingPipeline batched;
-  ReadingPipeline serial;
-  for (ReadingPipeline* p : {&batched, &serial}) {
-    p->add_sink(std::make_shared<CountingSink>("taker"));
-    p->add_sink(std::make_shared<CountingSink>("refuser", /*accept=*/false));
-    p->add_sink(std::make_shared<ThrowingSink>("bomb", /*every=*/3));
-  }
-  batched.dispatch_batch(batch, {/*cycle_index=*/1, ReadPhase::kPhase1});
-  for (const rf::TagReading& r : batch) {
-    serial.dispatch(r, {/*cycle_index=*/1, ReadPhase::kPhase1});
-  }
-  const auto bs = batched.stats();
-  const auto ss = serial.stats();
-  ASSERT_EQ(bs.size(), ss.size());
-  for (std::size_t i = 0; i < bs.size(); ++i) {
-    SCOPED_TRACE(bs[i].name);
-    EXPECT_EQ(bs[i].delivered, ss[i].delivered);
-    EXPECT_EQ(bs[i].dropped, ss[i].dropped);
-    EXPECT_EQ(bs[i].exceptions, ss[i].exceptions);
-  }
-  EXPECT_EQ(batched.dispatched_total(), serial.dispatched_total());
-  // The batch charges one timed call per sink; the loop charges nine.
-  EXPECT_EQ(bs[0].batches, 1u);
-  EXPECT_EQ(ss[0].batches, 9u);
 }
 
 TEST(ReadingPipeline, BatchDispatchThrowingSinkLosesOnlyItsOwnReadings) {
@@ -335,10 +306,14 @@ TEST(ReadingPipeline, StatsSplitPerSourceInFirstSeenOrder) {
   // Source 2 dispatches before source 0 ever shows up explicitly; the
   // source-0 row still leads (it is created with the sink), then sources
   // appear in first-seen order.
-  pipeline.dispatch(make_reading(), {0, ReadPhase::kPhase1, /*source_id=*/2});
-  pipeline.dispatch(make_reading(), {0, ReadPhase::kPhase1, /*source_id=*/0});
-  pipeline.dispatch(make_reading(), {0, ReadPhase::kPhase2, /*source_id=*/2});
-  pipeline.dispatch(make_reading(), {0, ReadPhase::kPhase1, /*source_id=*/1});
+  pipeline.dispatch_batch({make_reading()},
+                          {0, ReadPhase::kPhase1, /*source_id=*/2});
+  pipeline.dispatch_batch({make_reading()},
+                          {0, ReadPhase::kPhase1, /*source_id=*/0});
+  pipeline.dispatch_batch({make_reading()},
+                          {0, ReadPhase::kPhase2, /*source_id=*/2});
+  pipeline.dispatch_batch({make_reading()},
+                          {0, ReadPhase::kPhase1, /*source_id=*/1});
 
   const auto stats = pipeline.stats();
   ASSERT_EQ(stats.size(), 3u);
