@@ -1,15 +1,11 @@
 #include "lint/lint.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <map>
 #include <set>
 #include <string_view>
-
-#include "lint/call_graph.hpp"
-#include "lint/nondet.hpp"
-#include "lint/symbol_index.hpp"
-#include "lint/taint.hpp"
 
 namespace tagwatch::lint {
 
@@ -116,12 +112,91 @@ struct AllowIndex {
 
 // ------------------------------------------------------------- rule D
 
+/// Wall-clock / entropy / environment identifiers that must never appear
+/// in src/ outside the WallClock seam.  Split into "any use" and "only as
+/// a call" (plain `time` or `clock` is a fine variable name).
+constexpr std::array<std::string_view, 8> kForbiddenIdentifiers = {
+    "random_device", "system_clock", "steady_clock", "high_resolution_clock",
+    "file_clock",    "utc_clock",    "tai_clock",    "gps_clock"};
+constexpr std::array<std::string_view, 11> kForbiddenCalls = {
+    "rand",         "srand",         "time",         "clock",
+    "clock_gettime", "timespec_get", "gettimeofday", "getenv",
+    "secure_getenv", "localtime",    "gmtime"};
+
+/// Host time enters src/ only through util::WallClock, whose system-clock
+/// implementation (src/util/wall_clock.*) is the one file set allowed to
+/// read a clock.  tools/, tests/, bench/ and examples/ run off the
+/// record→replay path and are out of scope.
+bool in_determinism_scope(std::string_view path) {
+  return path.rfind("src/", 0) == 0 &&
+         path.rfind("src/util/wall_clock.", 0) != 0;
+}
+
 void check_determinism(const SourceFile& file, const std::string& scrubbed,
                        std::vector<Finding>& out) {
-  if (!in_journaled_dir(file.path)) return;
-  for (const NondetUse& use : scan_nondeterminism(scrubbed)) {
-    out.push_back({file.path, line_of(scrubbed, use.pos), "determinism",
-                   use.message + " in journaled path"});
+  if (!in_determinism_scope(file.path)) return;
+  auto report = [&](std::size_t pos, const std::string& what) {
+    out.push_back({file.path, line_of(scrubbed, pos), "determinism",
+                   what + "; host time enters src/ only through "
+                          "util::WallClock"});
+  };
+  for (const std::string_view ident : kForbiddenIdentifiers) {
+    std::size_t pos = 0;
+    while ((pos = find_identifier(scrubbed, ident, pos)) !=
+           std::string::npos) {
+      report(pos, "non-deterministic identifier '" + std::string(ident) + "'");
+      pos += ident.size();
+    }
+  }
+  for (const std::string_view call : kForbiddenCalls) {
+    std::size_t pos = 0;
+    while ((pos = find_identifier(scrubbed, call, pos)) !=
+           std::string::npos) {
+      const std::size_t after = skip_ws(scrubbed, pos + call.size());
+      if (after < scrubbed.size() && scrubbed[after] == '(') {
+        report(pos, "call to '" + std::string(call) + "()'");
+      }
+      pos += call.size();
+    }
+  }
+  // Unseeded std::mt19937 / std::mt19937_64: a declaration with no
+  // initializer (or an empty one) seeds from the default constant, which
+  // hides the seed from the journal.
+  for (const std::string_view engine : {std::string_view("mt19937"),
+                                        std::string_view("mt19937_64")}) {
+    std::size_t pos = 0;
+    while ((pos = find_identifier(scrubbed, engine, pos)) !=
+           std::string::npos) {
+      const std::size_t report_at = pos;
+      std::size_t cur = skip_ws(scrubbed, pos + engine.size());
+      pos += engine.size();
+      // Expect a declared variable name next; anything else (template
+      // argument, reference parameter, qualified use) is not a decl.
+      if (cur >= scrubbed.size() || !is_ident_char(scrubbed[cur]) ||
+          std::isdigit(static_cast<unsigned char>(scrubbed[cur])) != 0) {
+        continue;
+      }
+      while (cur < scrubbed.size() && is_ident_char(scrubbed[cur])) ++cur;
+      cur = skip_ws(scrubbed, cur);
+      bool unseeded = false;
+      if (cur < scrubbed.size() && scrubbed[cur] == ';') {
+        unseeded = true;
+      } else if (cur < scrubbed.size() &&
+                 (scrubbed[cur] == '(' || scrubbed[cur] == '{')) {
+        const char close = scrubbed[cur] == '(' ? ')' : '}';
+        const std::size_t end =
+            match_bracket(scrubbed, cur, scrubbed[cur], close);
+        if (end != std::string::npos &&
+            skip_ws(scrubbed, cur + 1) == end - 1) {
+          unseeded = true;  // Empty initializer: default seed.
+        }
+      }
+      if (unseeded) {
+        report(report_at,
+               "unseeded std::" + std::string(engine) +
+                   " (pass an explicit seed)");
+      }
+    }
   }
 }
 
@@ -702,8 +777,9 @@ std::size_t line_of(const std::string& text, std::size_t pos) {
 const std::vector<RuleInfo>& RuleEngine::rules() {
   static const std::vector<RuleInfo> catalog = {
       {"determinism",
-       "no wall-clock/entropy/environment reads directly in journaled "
-       "directories (src/core, src/sim, src/llrp, src/gen2, src/rf)"},
+       "no wall-clock/entropy/environment reads anywhere in src/ outside "
+       "src/util/wall_clock.* (host time enters only through "
+       "util::WallClock)"},
       {"header-pragma-once", "every header opens with #pragma once"},
       {"header-using-namespace", "no 'using namespace' in headers"},
       {"include-order",
@@ -721,10 +797,6 @@ const std::vector<RuleInfo>& RuleEngine::rules() {
        "raw vector intrinsics and intrinsics headers only inside the "
        "util::simd module, which is also the only code in src/ that "
        "repoints the kernel table"},
-      {"determinism-taint",
-       "no journaled function reaches a wall-clock/entropy read through "
-       "any call chain (interprocedural; util::WallClock is the sanctioned "
-       "seam)"},
   };
   return catalog;
 }
@@ -752,11 +824,6 @@ LintReport RuleEngine::run(const std::vector<SourceFile>& files) const {
     check_simd_discipline(file, scrubbed, raw_findings);
   }
   check_journal_discipline(files, raw_findings);
-
-  // Whole-tree call-graph rule.
-  const SymbolIndex index = build_symbol_index(files);
-  const CallGraph graph = build_call_graph(index);
-  check_determinism_taint(index, graph, raw_findings);
 
   // Apply allow() suppressions and count annotations per file.
   std::map<std::string, AllowIndex> allows;

@@ -2,16 +2,17 @@
 //
 // clang-tidy and cppcheck see one translation unit at a time and speak
 // generic C++; the invariants that make Tagwatch's record→replay guarantee
-// hold are *project* rules — "no wall clock in a journaled path", "every
-// journal record tag round-trips", "sinks never re-enter the transport" —
-// that neither tool can express.  This engine checks them at the file/token
+// hold are *project* rules — "no wall clock in src/", "every journal
+// record tag round-trips", "sinks never re-enter the transport" — that
+// neither tool can express.  This engine checks them at the file/token
 // level so they gate CI next to the industry checkers.
 //
 // Rules (see docs/STATIC_ANALYSIS.md for the catalog and rationale):
 //
-//   determinism            (D) no wall-clock/entropy/environment reads in
-//                              journaled directories (src/core, src/sim,
-//                              src/llrp, src/gen2, src/rf)
+//   determinism            (D) no wall-clock/entropy/environment reads
+//                              anywhere in src/ except the WallClock seam
+//                              (src/util/wall_clock.*), so no helper, call
+//                              chain or indirect call can reach a clock
 //   header-pragma-once     (H) every header starts with #pragma once
 //   header-using-namespace (H) no `using namespace` in headers
 //   include-order          (H) own header first, then <system>, then
@@ -29,16 +30,6 @@
 //                              guards, never explicit lock()/unlock()
 //   simd-discipline        (V) raw vector intrinsics only inside the
 //                              util::simd module
-//   determinism-taint      (G) whole-tree call-graph rule: a journaled
-//                              function must not *reach* a wall-clock/
-//                              entropy read through any chain of calls
-//                              (src/util wrappers can no longer launder
-//                              nondeterminism in); the WallClock seam is
-//                              the one sanctioned boundary
-//
-// The (G) rule runs on a heuristic symbol index + call graph built over
-// the full file set (symbol_index.hpp / call_graph.hpp); its model and
-// blind spots are documented in docs/STATIC_ANALYSIS.md.
 //
 // Escape hatch: a finding on line N is suppressed when line N or N-1
 // carries `// tagwatch-lint: allow(<rule>)` — meant to be rare, justified
@@ -97,7 +88,7 @@ struct RuleInfo {
 class RuleEngine {
  public:
   /// Runs every rule over `files` (per-file rules on each, cross-file
-  /// and call-graph rules on the set).  Findings are ordered by
+  /// rules on the set).  Findings are ordered by
   /// (file, line, rule).
   LintReport run(const std::vector<SourceFile>& files) const;
 

@@ -1,5 +1,6 @@
 #include "util/config.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -13,6 +14,16 @@ std::string trim(std::string_view s) {
   if (begin == std::string_view::npos) return {};
   const auto end = s.find_last_not_of(" \t\r\n");
   return std::string(s.substr(begin, end - begin + 1));
+}
+
+/// Numeric getters parse the whole value: trailing characters ("5s", or
+/// "2.5" read as an integer) and out-of-range values are errors naming
+/// the key, never silent truncations.
+[[noreturn]] void throw_bad_value(const std::string& key,
+                                  const std::string& value,
+                                  const char* expected) {
+  throw std::invalid_argument("KeyValueConfig: key '" + key + "': '" + value +
+                              "' is not " + expected);
 }
 
 }  // namespace
@@ -63,13 +74,34 @@ std::string KeyValueConfig::get_or(const std::string& key,
 double KeyValueConfig::get_double_or(const std::string& key,
                                      double fallback) const {
   const auto v = get(key);
-  return v ? std::stod(*v) : fallback;
+  if (!v) return fallback;
+  std::size_t used = 0;
+  double out = 0.0;
+  try {
+    out = std::stod(*v, &used);
+  } catch (const std::logic_error&) {
+    used = 0;  // std::invalid_argument or std::out_of_range.
+  }
+  // NaN would pass every range check (all its comparisons are false).
+  if (used == 0 || used != v->size() || !std::isfinite(out)) {
+    throw_bad_value(key, *v, "a finite number");
+  }
+  return out;
 }
 
 std::int64_t KeyValueConfig::get_int_or(const std::string& key,
                                         std::int64_t fallback) const {
   const auto v = get(key);
-  return v ? std::stoll(*v) : fallback;
+  if (!v) return fallback;
+  std::size_t used = 0;
+  std::int64_t out = 0;
+  try {
+    out = std::stoll(*v, &used);
+  } catch (const std::logic_error&) {
+    used = 0;
+  }
+  if (used == 0 || used != v->size()) throw_bad_value(key, *v, "an integer");
+  return out;
 }
 
 bool KeyValueConfig::get_bool_or(const std::string& key, bool fallback) const {

@@ -27,6 +27,9 @@ class KeyValueConfig {
 
   std::optional<std::string> get(const std::string& key) const;
   std::string get_or(const std::string& key, std::string fallback) const;
+  /// Numeric getters: the whole value must parse ("5s" and "2.5" as an
+  /// integer are errors) and a double must be finite.  Throws
+  /// std::invalid_argument naming the key otherwise.
   double get_double_or(const std::string& key, double fallback) const;
   std::int64_t get_int_or(const std::string& key, std::int64_t fallback) const;
   bool get_bool_or(const std::string& key, bool fallback) const;

@@ -11,7 +11,10 @@ namespace tagwatch::util {
 /// Rng& so whole experiments replay bit-identically from one seed.
 class Rng {
  public:
-  explicit Rng(std::uint64_t seed = 0x5eed5eed) : engine_(seed) {}
+  /// Seed of a default-constructed Rng.
+  static constexpr std::uint64_t kDefaultSeed = 0x5eed5eed;
+
+  explicit Rng(std::uint64_t seed = kDefaultSeed) : engine_(seed) {}
 
   /// Uniform integer in [lo, hi] (inclusive).
   std::uint64_t uniform_u64(std::uint64_t lo, std::uint64_t hi) {
@@ -51,7 +54,9 @@ class Rng {
   std::mt19937_64& engine() noexcept { return engine_; }
 
  private:
-  std::mt19937_64 engine_;
+  // The constructor's mem-initializer always wins; this default only
+  // keeps the declaration visibly seeded.
+  std::mt19937_64 engine_{kDefaultSeed};
 };
 
 }  // namespace tagwatch::util

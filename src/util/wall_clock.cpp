@@ -6,9 +6,9 @@ namespace tagwatch::util {
 
 namespace {
 
-/// The one place in the library that reads a raw std::chrono clock; it
-/// lives outside the journaled directories on purpose (see
-/// docs/STATIC_ANALYSIS.md, rule `determinism`).
+/// The one place in the library that reads a raw std::chrono clock: rule
+/// `determinism` exempts src/util/wall_clock.* and nothing else in src/
+/// (see docs/STATIC_ANALYSIS.md).
 class SystemWallClock final : public WallClock {
  public:
   double now_seconds() override {

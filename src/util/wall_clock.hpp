@@ -3,11 +3,11 @@
 // Everything on the *simulation* timeline runs on util::SimTime and is
 // deterministic by construction.  A few places legitimately measure *host*
 // wall time — per-sink dispatch latency in the reading pipeline, the
-// scheduler's compute budget (Fig. 17) — and those reads must not leak raw
-// std::chrono clocks into journaled code paths (tagwatch_lint rule
-// `determinism`).  WallClock is the seam: production code uses the
-// steady_clock-backed system() singleton, tests inject a FakeWallClock and
-// assert latency accounting exactly.
+// scheduler's compute budget (Fig. 17) — and no other file in src/ may
+// read a raw std::chrono clock (tagwatch_lint rule `determinism`).
+// WallClock is the seam: production code uses the steady_clock-backed
+// system() singleton, tests inject a FakeWallClock and assert latency
+// accounting exactly.
 #pragma once
 
 namespace tagwatch::util {

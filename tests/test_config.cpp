@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 
 namespace tagwatch::util {
 namespace {
@@ -40,6 +41,55 @@ TEST(KeyValueConfig, MalformedLineThrows) {
 TEST(KeyValueConfig, BadBooleanThrows) {
   const auto cfg = KeyValueConfig::parse("flag = maybe\n");
   EXPECT_THROW(cfg.get_bool_or("flag", false), std::invalid_argument);
+}
+
+TEST(KeyValueConfig, NumericGettersRejectTrailingCharacters) {
+  // std::stoll/std::stod stop at the first bad character; the getters
+  // must not, or "5s" silently reads as 5 and "2.5" as the integer 2.
+  const auto cfg = KeyValueConfig::parse(
+      "seconds = 5s\nratio = 2.5\nsci = 1e3\nspeed = 0.5 m/s\nempty =\n"
+      "big = 99999999999999999999\n");
+  EXPECT_THROW(cfg.get_int_or("seconds", 0), std::invalid_argument);
+  EXPECT_THROW(cfg.get_int_or("big", 0), std::invalid_argument);
+  EXPECT_THROW(cfg.get_int_or("ratio", 0), std::invalid_argument);
+  EXPECT_THROW(cfg.get_int_or("sci", 0), std::invalid_argument);
+  EXPECT_THROW(cfg.get_int_or("empty", 0), std::invalid_argument);
+  EXPECT_THROW(cfg.get_double_or("seconds", 0.0), std::invalid_argument);
+  EXPECT_THROW(cfg.get_double_or("speed", 0.0), std::invalid_argument);
+  EXPECT_THROW(cfg.get_double_or("empty", 0.0), std::invalid_argument);
+  // Whole values still parse.
+  EXPECT_DOUBLE_EQ(cfg.get_double_or("ratio", 0.0), 2.5);
+  EXPECT_DOUBLE_EQ(cfg.get_double_or("sci", 0.0), 1000.0);
+  const auto ok = KeyValueConfig::parse("n = -12\nx = .25\n");
+  EXPECT_EQ(ok.get_int_or("n", 0), -12);
+  EXPECT_DOUBLE_EQ(ok.get_double_or("x", 0.0), 0.25);
+}
+
+TEST(KeyValueConfig, DoubleGetterRejectsNonFiniteValues) {
+  // NaN compares false against any bound, so it would pass every range
+  // check downstream; infinities are never a meaningful setting either.
+  for (const char* bad : {"nan", "NaN", "-nan", "inf", "-infinity", "1e999"}) {
+    SCOPED_TRACE(bad);
+    const auto cfg = KeyValueConfig::parse(std::string("v = ") + bad + "\n");
+    EXPECT_THROW(cfg.get_double_or("v", 0.0), std::invalid_argument);
+  }
+}
+
+TEST(KeyValueConfig, BadNumberMessageNamesTheKey) {
+  const auto cfg = KeyValueConfig::parse("mover_speed = nan\ntags = 5s\n");
+  auto error_of = [](auto read) -> std::string {
+    try {
+      read();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_NE(error_of([&] { (void)cfg.get_double_or("mover_speed", 0.0); })
+                .find("'mover_speed'"),
+            std::string::npos);
+  EXPECT_NE(error_of([&] { (void)cfg.get_int_or("tags", 0); }).find("'tags'"),
+            std::string::npos);
 }
 
 TEST(KeyValueConfig, ValueMayContainEquals) {

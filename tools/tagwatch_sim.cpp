@@ -170,18 +170,11 @@ void reject_unknown_keys(const util::KeyValueConfig& cfg) {
   }
 }
 
-/// get_int_or with a range check and a key-named message — std::stoll's
-/// bare "stoll" exception never reaches the user.
+/// get_int_or with a range check; the getter itself rejects values that
+/// are not whole integers, naming the key.
 std::int64_t int_in(const util::KeyValueConfig& cfg, const std::string& key,
                     std::int64_t fallback, std::int64_t lo, std::int64_t hi) {
-  std::int64_t v = fallback;
-  try {
-    v = cfg.get_int_or(key, fallback);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("scenario key '" + key + "': '" +
-                                cfg.get_or(key, "") +
-                                "' is not an integer");
-  }
+  const std::int64_t v = cfg.get_int_or(key, fallback);
   if (v < lo || v > hi) {
     throw std::invalid_argument(
         "scenario key '" + key + "' = " + std::to_string(v) +
@@ -193,13 +186,7 @@ std::int64_t int_in(const util::KeyValueConfig& cfg, const std::string& key,
 
 double double_in(const util::KeyValueConfig& cfg, const std::string& key,
                  double fallback, double lo, double hi) {
-  double v = fallback;
-  try {
-    v = cfg.get_double_or(key, fallback);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("scenario key '" + key + "': '" +
-                                cfg.get_or(key, "") + "' is not a number");
-  }
+  const double v = cfg.get_double_or(key, fallback);
   if (v < lo || v > hi) {
     char msg[160];
     std::snprintf(msg, sizeof(msg),
