@@ -4,17 +4,13 @@
 // bench_schedule_cost's.
 //
 // Metrics (BENCH_planner.json):
-//   * simd_speedup — the fused AND+popcount microkernel, best detected ISA
-//     over the portable scalar kernels.  FAILS below 1.5x when AVX2 was
-//     detected: dispatch overhead swallowing the win is a regression.
 //   * planning_speedup_at_4096 — lazy over dense greedy cover at 4,096 tags
 //     and 1,024 targets, paired min-of-reps.  FAILS unless the two plans
 //     are equal.
 //   * planning_cycles_per_sec_at_<n> — IncrementalPlanner::plan_cycle passes
 //     per second on a churning scene, 4k to 1M tags; only planning is
-//     timed, not the churn.  FAILS unless every {scalar ISA, serial} plan
-//     equals the {best ISA, 4-thread} plan; plans_identical = 1 records
-//     the pass.
+//     timed, not the churn.  FAILS unless every serial plan equals the
+//     4-thread plan; plans_identical = 1 records the pass.
 //   * incremental_speedup — from-scratch planning over the incremental
 //     planner's amortized per-cycle cost at 65,536 tags.  FAILS unless the
 //     mid-trace and final cycles equal the from-scratch oracle.
@@ -36,7 +32,6 @@
 #include "core/setcover.hpp"
 #include "util/epc.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 #include "util/task_pool.hpp"
 
 using namespace tagwatch;
@@ -176,49 +171,13 @@ double plan_churn_trace(std::size_t n, std::size_t cycles, util::TaskPool* pool,
 
 int main() {
   bench::BenchReport report("planner", 0xc1c1e);
-  const util::simd::Isa best_isa = util::simd::detected_isa();
-  std::printf("planner bench (detected ISA: %s)\n",
-              util::simd::isa_name(best_isa));
+  std::printf("planner bench\n");
   std::size_t max_n = 1048576;
   if (const char* cap = std::getenv("TAGWATCH_BENCH_MAX_N")) {
     max_n = std::max<std::size_t>(std::strtoull(cap, nullptr, 10), 4096);
   }
   util::TaskPool pool(4);
   const core::InventoryCostModel cost = core::InventoryCostModel::paper_fit();
-
-  // ------------------------------------------------- SIMD microkernel A/B
-  // Fused AND+popcount over 1 MiB of bitmap per call — the inner loop of
-  // candidate generation and trie materialization.
-  {
-    const std::size_t words = 128 * 1024;
-    util::Rng rng(0x51d0);
-    std::vector<std::uint64_t> a(words), b(words);
-    for (std::uint64_t& w : a) w = rng.uniform_u64(0, ~std::uint64_t{0});
-    for (std::uint64_t& w : b) w = rng.uniform_u64(0, ~std::uint64_t{0});
-    const util::simd::KernelTable& scalar = util::simd::scalar_kernels();
-    const util::simd::KernelTable& native = util::simd::kernels_for(best_isa);
-    volatile std::size_t sink = 0;
-    const auto run = [&](const util::simd::KernelTable& k) {
-      std::size_t total = 0;
-      for (int pass = 0; pass < 64; ++pass) {
-        total += k.and_popcount(a.data(), b.data(), words);
-      }
-      sink = total;
-    };
-    const double t_scalar = best_seconds(5, [&] { run(scalar); });
-    const double t_native = best_seconds(5, [&] { run(native); });
-    const double speedup = t_scalar / t_native;
-    std::printf("  and_popcount: scalar %.3f ms, %s %.3f ms -> %.2fx\n",
-                t_scalar * 1e3, util::simd::isa_name(native.isa),
-                t_native * 1e3, speedup);
-    report.add("simd_speedup", speedup, "ratio");
-    if (native.isa == util::simd::Isa::kAvx2 && speedup < 1.5) {
-      std::fprintf(stderr,
-                   "FAIL: AVX2 and_popcount speedup %.2fx < 1.5x floor\n",
-                   speedup);
-      return 1;
-    }
-  }
 
   // ------------------------------------------ lazy vs dense greedy cover
   // The first 1,024 EPCs of a 4,096-tag scene: the high-mobility regime,
@@ -268,19 +227,17 @@ int main() {
         std::clamp<std::size_t>((std::size_t{1} << 22) / n, 4, 64);
     const int reps = n <= 16384 ? 3 : 2;
 
-    // In-bench oracle: the same churn tape at {scalar, serial}; the first
-    // timed rep's plans must match it cycle for cycle.
+    // In-bench oracle: the same churn tape planned serially; the first
+    // timed rep's 4-thread plans must match it cycle for cycle.
     std::vector<core::Schedule> oracle, fast;
-    util::simd::set_active_isa(util::simd::Isa::kScalar);
     plan_churn_trace(n, cycles, nullptr, &oracle);
-    util::simd::set_active_isa(best_isa);
     double best_s = plan_churn_trace(n, cycles, &pool, &fast);
     if (!std::equal(oracle.begin(), oracle.end(), fast.begin(), fast.end(),
                     same_schedule)) {
       std::fprintf(stderr,
-                   "FAIL: plan divergence at %zu tags between "
-                   "{scalar, serial} and {%s, 4 threads}\n",
-                   n, util::simd::isa_name(best_isa));
+                   "FAIL: plan divergence at %zu tags between serial and "
+                   "4-thread planning\n",
+                   n);
       return 1;
     }
     for (int rep = 1; rep < reps; ++rep) {

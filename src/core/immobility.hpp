@@ -40,7 +40,6 @@
 #include <vector>
 
 #include "util/circular.hpp"
-#include "util/simd.hpp"
 
 namespace tagwatch::core {
 
@@ -138,31 +137,13 @@ inline bool mog_trusted(const ImmobilityConfig& config,
          c.stddev <= config.trust_stddev;
 }
 
-/// Doubles between consecutive components of a bank — the stride the
-/// util::simd MoG kernels walk.  The layout assertions pin what they rely
-/// on: the three double fields lead the struct, contiguously.
-inline constexpr std::size_t kMogStride =
-    sizeof(GaussianComponent) / sizeof(double);
-static_assert(sizeof(GaussianComponent) == 4 * sizeof(double));
-static_assert(offsetof(GaussianComponent, weight) == 0);
-static_assert(offsetof(GaussianComponent, mean) == sizeof(double));
-static_assert(offsetof(GaussianComponent, stddev) == 2 * sizeof(double));
-
 /// Index of the highest-priority matching component in comps[0..n), or
 /// kMogNoMatch.  comps is kept sorted by descending priority, so the first
-/// hit is the best.  The linear metric runs through the dispatched
-/// strided-match kernel (|θ-μ| is elementwise IEEE math, so scalar and
-/// AVX2 agree bit for bit); the circular metric's fmod cannot be
-/// vectorized exactly and always takes the scalar loop.
+/// hit is the best.
 inline std::size_t mog_find_match(const GaussianComponent* comps,
                                   std::size_t n,
                                   const ImmobilityConfig& config,
                                   Metric metric, double value) {
-  if (metric == Metric::kLinear && n > 0) {
-    return util::simd::strided_match_first(
-        &comps[0].mean, &comps[0].stddev, kMogStride, n, value,
-        config.match_threshold, config.min_match_stddev);
-  }
   for (std::size_t i = 0; i < n; ++i) {
     if (mog_matches(config, metric, comps[i], value)) return i;
   }
@@ -225,13 +206,10 @@ inline MotionVerdict mog_observe(GaussianComponent* comps, std::size_t& n,
                                     ? MotionVerdict::kStationary
                                     : MotionVerdict::kMoving;
 
-  // Case 1: matched — reinforce it, decay the rest (Eqn. 11).  The
-  // unmatched decay w ← (1-α)w is one IEEE multiply per component, so it
-  // runs through the dispatched strided kernel (bit-identical across
-  // ISAs); the matched component's compound update stays scalar, where
-  // the compiler evaluates one fixed expression tree.
-  util::simd::strided_weight_decay(&comps[0].weight, kMogStride, n,
-                                   1.0 - alpha, match);
+  // Case 1: matched — reinforce it, decay the rest (Eqn. 11).
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i != match) comps[i].weight = (1.0 - alpha) * comps[i].weight;
+  }
   {
     GaussianComponent& c = comps[match];
     c.weight = (1.0 - alpha) * c.weight + alpha;

@@ -397,69 +397,6 @@ void check_threading(const SourceFile& file, const std::string& scrubbed,
   }
 }
 
-// ------------------------------------------------------------- rule V
-
-/// The one sanctioned home for raw vector intrinsics: the util::simd
-/// kernel module.  Everywhere else SIMD routes through the dispatched
-/// util::simd entry points, so the scalar/AVX2 differential tests cover
-/// every instruction sequence that can actually run.
-bool is_simd_kernel_file(std::string_view path) {
-  return path.find("src/util/simd") != std::string_view::npos;
-}
-
-void check_simd_discipline(const SourceFile& file, const std::string& scrubbed,
-                           std::vector<Finding>& out) {
-  if (is_simd_kernel_file(file.path)) return;
-  // (a) Raw intrinsic calls and vector register types.
-  for (const std::string_view prefix :
-       {std::string_view("_mm"), std::string_view("__m128"),
-        std::string_view("__m256"), std::string_view("__m512"),
-        std::string_view("__builtin_ia32")}) {
-    std::size_t pos = 0;
-    while ((pos = scrubbed.find(prefix, pos)) != std::string::npos) {
-      if (pos == 0 || !is_ident_char(scrubbed[pos - 1])) {
-        out.push_back({file.path, line_of(scrubbed, pos), "simd-discipline",
-                       "raw vector intrinsic; implement kernels in the "
-                       "util::simd module and call its dispatched entry "
-                       "points"});
-        // One finding per line is enough: jump to the next line.
-        pos = scrubbed.find('\n', pos);
-        if (pos == std::string::npos) break;
-        continue;
-      }
-      pos += prefix.size();
-    }
-  }
-  // (b) The intrinsics headers themselves (<immintrin.h> and friends).
-  std::size_t pos = 0;
-  while ((pos = scrubbed.find("intrin.h>", pos)) != std::string::npos) {
-    const std::size_t line_start = scrubbed.rfind('\n', pos) + 1;
-    const std::size_t inc = scrubbed.find("#include", line_start);
-    if (inc != std::string::npos && inc < pos) {
-      out.push_back({file.path, line_of(scrubbed, pos), "simd-discipline",
-                     "intrinsics header outside the util::simd module"});
-    }
-    pos += 9;
-  }
-  // (c) The kernel table is process-wide state that only the program's
-  // entry point may repoint: a library call in src/ that did so would undo
-  // the caller's pin.  Tests, tools and benches flip it freely for A/B
-  // runs.
-  if (file.path.rfind("src/", 0) == 0) {
-    std::size_t at = 0;
-    while ((at = find_identifier(scrubbed, "set_active_isa", at)) !=
-           std::string::npos) {
-      const std::size_t after = skip_ws(scrubbed, at + 14);
-      if (after < scrubbed.size() && scrubbed[after] == '(') {
-        out.push_back({file.path, line_of(scrubbed, at), "simd-discipline",
-                       "set_active_isa in src/ outside util::simd; pin the "
-                       "ISA once in the program's entry point"});
-      }
-      at += 14;
-    }
-  }
-}
-
 // ------------------------------------------------------------- rule P
 
 void check_pipeline_reentrancy(const SourceFile& file,
@@ -793,10 +730,6 @@ const std::vector<RuleInfo>& RuleEngine::rules() {
       {"threading-discipline",
        "raw threads and mutex declarations only inside util::TaskPool; "
        "mutexes held via RAII guards, never explicit lock()/unlock()"},
-      {"simd-discipline",
-       "raw vector intrinsics and intrinsics headers only inside the "
-       "util::simd module, which is also the only code in src/ that "
-       "repoints the kernel table"},
   };
   return catalog;
 }
@@ -821,7 +754,6 @@ LintReport RuleEngine::run(const std::vector<SourceFile>& files) const {
     check_include_order(file, file.content, raw_findings);
     check_pipeline_reentrancy(file, scrubbed, raw_findings);
     check_threading(file, scrubbed, raw_findings);
-    check_simd_discipline(file, scrubbed, raw_findings);
   }
   check_journal_discipline(files, raw_findings);
 

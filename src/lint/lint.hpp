@@ -28,8 +28,6 @@
 //                              mutex in the tree, so no acquisition-order
 //                              cycle can exist); mutexes held via RAII
 //                              guards, never explicit lock()/unlock()
-//   simd-discipline        (V) raw vector intrinsics only inside the
-//                              util::simd module
 //
 // Escape hatch: a finding on line N is suppressed when line N or N-1
 // carries `// tagwatch-lint: allow(<rule>)` — meant to be rare, justified

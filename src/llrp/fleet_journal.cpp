@@ -46,6 +46,14 @@ std::int64_t parse_int(const std::string& s, std::size_t line_no) {
   }
 }
 
+/// A std::size_t field.  Negative input is rejected rather than cast: it
+/// would wrap to 2^64-k, and to_csv(from_csv(x)) would no longer equal x.
+std::size_t parse_count(const std::string& s, std::size_t line_no) {
+  const std::int64_t v = parse_int(s, line_no);
+  if (v < 0) fail(line_no, "expected non-negative count, got '" + s + "'");
+  return static_cast<std::size_t>(v);
+}
+
 std::uint64_t fnv1a(std::string_view bytes) {
   std::uint64_t h = 1469598103934665603ull;  // FNV-1a 64-bit offset basis.
   for (const char c : bytes) {
@@ -127,8 +135,7 @@ FleetJournal FleetJournal::from_csv(std::string_view csv) {
     if (f[0] == "S") {
       if (f.size() != 5) fail(line_no, "setup line needs 5 fields");
       if (saw_setup) fail(line_no, "duplicate setup line");
-      journal.setup.readers =
-          static_cast<std::size_t>(parse_int(f[1], line_no));
+      journal.setup.readers = parse_count(f[1], line_no);
       journal.setup.policy = f[2];
       try {
         journal.setup.session = gen2::session_from_string(f[3]);
@@ -140,13 +147,13 @@ FleetJournal FleetJournal::from_csv(std::string_view csv) {
     } else if (f[0] == "F") {
       if (f.size() != 8) fail(line_no, "cycle line needs 8 fields");
       FleetCycleRecord c;
-      c.cycle = static_cast<std::size_t>(parse_int(f[1], line_no));
-      c.reader = static_cast<std::size_t>(parse_int(f[2], line_no));
+      c.cycle = parse_count(f[1], line_no);
+      c.reader = parse_count(f[2], line_no);
       c.zone = f[3];
-      c.phase1_readings = static_cast<std::size_t>(parse_int(f[4], line_no));
-      c.phase2_readings = static_cast<std::size_t>(parse_int(f[5], line_no));
-      c.delivered = static_cast<std::size_t>(parse_int(f[6], line_no));
-      c.duplicates = static_cast<std::size_t>(parse_int(f[7], line_no));
+      c.phase1_readings = parse_count(f[4], line_no);
+      c.phase2_readings = parse_count(f[5], line_no);
+      c.delivered = parse_count(f[6], line_no);
+      c.duplicates = parse_count(f[7], line_no);
       journal.push_cycle(std::move(c));
     } else if (f[0] == "H") {
       if (f.size() != 5) fail(line_no, "handoff line needs 5 fields");
@@ -156,33 +163,32 @@ FleetJournal FleetJournal::from_csv(std::string_view csv) {
       } catch (const std::invalid_argument& e) {
         fail(line_no, e.what());
       }
-      h.from_reader = static_cast<std::size_t>(parse_int(f[2], line_no));
-      h.to_reader = static_cast<std::size_t>(parse_int(f[3], line_no));
+      h.from_reader = parse_count(f[2], line_no);
+      h.to_reader = parse_count(f[3], line_no);
       h.at = util::SimTime(parse_int(f[4], line_no));
       journal.push_handoff(std::move(h));
     } else if (f[0] == "D") {
       if (f.size() != 5) fail(line_no, "down line needs 5 fields");
       FleetDownRecord d;
-      d.cycle = static_cast<std::size_t>(parse_int(f[1], line_no));
-      d.reader = static_cast<std::size_t>(parse_int(f[2], line_no));
+      d.cycle = parse_count(f[1], line_no);
+      d.reader = parse_count(f[2], line_no);
       d.zone = f[3];
-      d.consecutive_failures =
-          static_cast<std::size_t>(parse_int(f[4], line_no));
+      d.consecutive_failures = parse_count(f[4], line_no);
       journal.push_down(std::move(d));
     } else if (f[0] == "T") {
       if (f.size() != 5) fail(line_no, "takeover line needs 5 fields");
       FleetTakeoverRecord t;
-      t.cycle = static_cast<std::size_t>(parse_int(f[1], line_no));
-      t.from_reader = static_cast<std::size_t>(parse_int(f[2], line_no));
-      t.to_reader = static_cast<std::size_t>(parse_int(f[3], line_no));
+      t.cycle = parse_count(f[1], line_no);
+      t.from_reader = parse_count(f[2], line_no);
+      t.to_reader = parse_count(f[3], line_no);
       t.radius_mm = parse_int(f[4], line_no);
       journal.push_takeover(t);
     } else if (f[0] == "R") {
       if (f.size() != 4) fail(line_no, "recover line needs 4 fields");
       FleetRecoverRecord r;
-      r.cycle = static_cast<std::size_t>(parse_int(f[1], line_no));
-      r.reader = static_cast<std::size_t>(parse_int(f[2], line_no));
-      r.down_for_cycles = static_cast<std::size_t>(parse_int(f[3], line_no));
+      r.cycle = parse_count(f[1], line_no);
+      r.reader = parse_count(f[2], line_no);
+      r.down_for_cycles = parse_count(f[3], line_no);
       journal.push_recover(r);
     } else {
       fail(line_no, "unknown record kind '" + f[0] + "'");

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -53,6 +54,14 @@ std::int64_t parse_int(const std::string& s, std::size_t line_no) {
   } catch (const std::out_of_range&) {
     fail(line_no, "integer out of range: '" + s + "'");
   }
+}
+
+/// A std::size_t field.  Negative input is rejected rather than cast: it
+/// would wrap to 2^64-k, and to_csv(from_csv(x)) would no longer equal x.
+std::size_t parse_count(const std::string& s, std::size_t line_no) {
+  const std::int64_t v = parse_int(s, line_no);
+  if (v < 0) fail(line_no, "expected non-negative count, got '" + s + "'");
+  return static_cast<std::size_t>(v);
 }
 
 std::uint64_t parse_hex64(const std::string& s, std::size_t line_no) {
@@ -160,10 +169,8 @@ ReaderJournal ReaderJournal::from_csv(std::string_view csv) {
     if (f[0] == "C") {
       if (f.size() != 6) fail(line_no, "capabilities line needs 6 fields");
       journal.capabilities.model = f[1];
-      journal.capabilities.antenna_count =
-          static_cast<std::size_t>(parse_int(f[2], line_no));
-      journal.capabilities.channel_count =
-          static_cast<std::size_t>(parse_int(f[3], line_no));
+      journal.capabilities.antenna_count = parse_count(f[2], line_no);
+      journal.capabilities.channel_count = parse_count(f[3], line_no);
       journal.capabilities.supports_truncation = parse_int(f[4], line_no) != 0;
       journal.capabilities.live = parse_int(f[5], line_no) != 0;
     } else if (f[0] == "A") {
@@ -181,16 +188,17 @@ ReaderJournal ReaderJournal::from_csv(std::string_view csv) {
       e.digest = parse_hex64(f[1], line_no);
       e.start = util::SimTime(parse_int(f[2], line_no));
       e.report.duration = util::SimDuration(parse_int(f[3], line_no));
-      e.report.rounds = static_cast<std::size_t>(parse_int(f[4], line_no));
+      e.report.rounds = parse_count(f[4], line_no);
       gen2::RoundStats& st = e.report.slot_totals;
-      st.slots = static_cast<std::size_t>(parse_int(f[5], line_no));
-      st.empty_slots = static_cast<std::size_t>(parse_int(f[6], line_no));
-      st.collision_slots = static_cast<std::size_t>(parse_int(f[7], line_no));
-      st.success_slots = static_cast<std::size_t>(parse_int(f[8], line_no));
-      st.lost_slots = static_cast<std::size_t>(parse_int(f[9], line_no));
+      st.slots = parse_count(f[5], line_no);
+      st.empty_slots = parse_count(f[6], line_no);
+      st.collision_slots = parse_count(f[7], line_no);
+      st.success_slots = parse_count(f[8], line_no);
+      st.lost_slots = parse_count(f[9], line_no);
       st.duration = util::SimDuration(parse_int(f[10], line_no));
-      pending_readings = static_cast<std::size_t>(parse_int(f[11], line_no));
-      e.report.readings.reserve(pending_readings);
+      // No reserve(): the declared count is untrusted until its readings
+      // are actually parsed.
+      pending_readings = parse_count(f[11], line_no);
       journal.push(std::move(e));
     } else if (f[0] == "X") {
       if (journal.entries_.empty() ||
@@ -207,7 +215,7 @@ ReaderJournal ReaderJournal::from_csv(std::string_view csv) {
       } catch (const std::invalid_argument& e) {
         fail(line_no, e.what());
       }
-      err.antenna = static_cast<std::size_t>(parse_int(f[2], line_no));
+      err.antenna = parse_count(f[2], line_no);
       err.message = f[3];
       journal.entries_.back().error = std::move(err);
     } else if (f[0] == "R") {
@@ -219,8 +227,12 @@ ReaderJournal ReaderJournal::from_csv(std::string_view csv) {
       } catch (const std::invalid_argument& e) {
         fail(line_no, e.what());
       }
-      r.antenna = static_cast<rf::AntennaId>(parse_int(f[2], line_no));
-      r.channel = static_cast<std::size_t>(parse_int(f[3], line_no));
+      const std::size_t antenna = parse_count(f[2], line_no);
+      if (antenna > std::numeric_limits<rf::AntennaId>::max()) {
+        fail(line_no, "antenna out of range: '" + f[2] + "'");
+      }
+      r.antenna = static_cast<rf::AntennaId>(antenna);
+      r.channel = parse_count(f[3], line_no);
       r.phase_rad = parse_double(f[4], line_no);
       r.rssi_dbm = parse_double(f[5], line_no);
       r.timestamp = util::SimTime(parse_int(f[6], line_no));

@@ -6,9 +6,8 @@
 // mutating operation runs word-parallel.  The population count is cached
 // incrementally: each mutator folds the popcount delta of the words it
 // touches into the cache, making count() O(1) — the candidate sweep and
-// the lazy-greedy heap both query it on every step.  The word array lives
-// in 64-byte-aligned storage so the SIMD kernels' 256-bit loads never
-// split a cache line; the bulk operations dispatch through util::simd.
+// the lazy-greedy heap both query it on every step.  The bulk operations
+// run through the util::simd word kernels.
 #pragma once
 
 #include <cstddef>
@@ -16,8 +15,6 @@
 #include <functional>
 #include <string>
 #include <vector>
-
-#include "util/aligned.hpp"
 
 namespace tagwatch::util {
 
@@ -43,8 +40,6 @@ class IndicatorBitmap {
 
   /// The backing word array (word_count() words) for bulk readers — lets
   /// hot loops hoist the pointer instead of re-resolving it per word.
-  /// Always 64-byte aligned (AlignedAllocator), including after move,
-  /// swap, and resize.
   const std::uint64_t* word_data() const noexcept { return words_.data(); }
 
   /// Mutable overload for bulk writers that maintain the count invariant
@@ -123,7 +118,7 @@ class IndicatorBitmap {
   /// Cached popcount of words_.  Invariant: always exact, so the defaulted
   /// operator== (which compares it alongside words_) stays consistent.
   std::size_t count_ = 0;
-  std::vector<std::uint64_t, AlignedAllocator<std::uint64_t>> words_;
+  std::vector<std::uint64_t> words_;
 };
 
 }  // namespace tagwatch::util

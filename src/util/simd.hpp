@@ -1,25 +1,11 @@
-// Runtime-dispatched SIMD kernels for the Phase-II planning hot loops.
+// Word kernels for the Phase-II planning hot loops.
 //
-// Every kernel has two implementations — a portable scalar loop and an
-// AVX2 version — behind one function-pointer table selected at startup
-// from a CPUID probe.  The two implementations are *bit-identical* by
-// construction: the word kernels are pure integer AND/OR/ANDNOT/popcount,
-// and the two floating-point kernels restrict themselves to elementwise
-// single-operation IEEE math (multiply; compare against max/mul products),
-// which vectorizes without reassociation.  Differential fuzz tests
-// (test_simd.cpp) enforce the equivalence at adversarial widths, and the
-// plan-equivalence suite enforces it end to end: plans and journals are
-// byte-identical across ISAs.
-//
-// Dispatch is process-global and set once: active_isa() defaults to
-// detected_isa() and can only be lowered (e.g. forced to scalar for
-// differential measurement) via set_active_isa(), which clamps to the
-// detected level so an AVX2 kernel can never run on a machine without
-// AVX2.  Only a program's entry point (tools, tests, benches) calls
-// set_active_isa(), so no library call can undo a caller's pin.  The
-// simd-discipline lint rule enforces both fences: no set_active_isa()
-// call in src/ outside this module, raw intrinsics only in
-// src/util/simd_avx2.cpp.
+// Portable loops over 64-bit word arrays: pure integer AND/OR/ANDNOT and
+// popcount, so every result is exact and independent of the compiler's
+// vectorization choices.  The indicator bitmaps, the candidate sweep and
+// the incremental planner share these ten kernels instead of each
+// open-coding its own word loop; tests/test_simd.cpp checks each one
+// against a per-bit reference.
 #pragma once
 
 #include <cstddef>
@@ -27,35 +13,10 @@
 
 namespace tagwatch::util::simd {
 
-/// Instruction-set level of a kernel table.
-enum class Isa {
-  kScalar = 0,  ///< Portable C++ loops; always available.
-  kAvx2 = 1,    ///< 256-bit integer/double kernels (x86-64 with AVX2).
-};
-
-/// Highest ISA level this CPU supports (probed once, then cached).
-Isa detected_isa() noexcept;
-
-/// The ISA level the kernels below currently dispatch to.  Defaults to
-/// detected_isa() on first use.
-Isa active_isa() noexcept;
-
-/// Selects the dispatch level, clamped to detected_isa() — requesting
-/// kAvx2 on a non-AVX2 machine leaves the scalar table active.  Returns
-/// the level actually activated.  Not thread-safe against concurrent
-/// kernel calls; call it at startup (the TagwatchConfig seam) or between
-/// measurement phases, never from inside a TaskPool region.
-Isa set_active_isa(Isa isa) noexcept;
-
-/// Human-readable name ("scalar" / "avx2") for logs and BENCH metadata.
-const char* isa_name(Isa isa) noexcept;
-
-// ---------------------------------------------------------- word kernels
 // All pointers are to 64-bit word arrays of length `n` (zero-length is
 // valid).  `dst` may alias `src`/`head` exactly (same pointer) or not at
-// all; partial overlap is undefined.  No alignment is required, but
-// 64-byte-aligned arrays (util::AlignedAllocator) take the fast unaligned
-// load path without cache-line splits.
+// all; partial overlap is undefined.  No alignment beyond the word's own
+// is required.
 
 /// Σ popcount(w[i]).
 std::size_t popcount_words(const std::uint64_t* w, std::size_t n) noexcept;
@@ -112,70 +73,5 @@ std::size_t nonzero_indices_u32(const std::uint64_t* w, std::size_t n,
 void scatter_words(std::uint64_t* dst, const std::uint64_t* src,
                    const std::size_t* idx, std::size_t n_idx,
                    std::size_t n_words) noexcept;
-
-// --------------------------------------------------------- MoG kernels
-// Strided kernels over the Gaussian-component banks (doubles at a fixed
-// stride through an array-of-structs).  Both restrict themselves to
-// elementwise single-operation IEEE arithmetic, so scalar and AVX2
-// results are bit-identical — the property the Phase-I bit-identity
-// guarantee rests on.
-
-/// w[i*stride] *= factor for every i in [0, n) except i == skip (pass
-/// n or larger to decay all) — the unmatched-component weight decay
-/// w ← (1-α)w of the MoG update, one IEEE multiply per element.
-void strided_weight_decay(double* w, std::size_t stride, std::size_t n,
-                          double factor, std::size_t skip) noexcept;
-
-/// First i in [0, n) with |value - means[i*stride]| <
-/// band_scale * max(stddevs[i*stride], min_stddev), else SIZE_MAX — the
-/// linear-metric mog_find_match scan (sub/abs/max/mul/compare only).
-std::size_t strided_match_first(const double* means, const double* stddevs,
-                                std::size_t stride, std::size_t n,
-                                double value, double band_scale,
-                                double min_stddev) noexcept;
-
-// ------------------------------------------------------------- internals
-// The dispatch table.  Exposed so the differential tests and the
-// cycle-throughput bench can call a *specific* implementation regardless
-// of the active level; production code uses the free functions above.
-struct KernelTable {
-  Isa isa = Isa::kScalar;
-  std::size_t (*popcount_words)(const std::uint64_t*, std::size_t) noexcept;
-  std::size_t (*and_popcount)(const std::uint64_t*, const std::uint64_t*,
-                              std::size_t) noexcept;
-  std::size_t (*and_inplace_popcount)(std::uint64_t*, const std::uint64_t*,
-                                      std::size_t) noexcept;
-  std::size_t (*andnot_inplace_removed)(std::uint64_t*, const std::uint64_t*,
-                                        std::size_t) noexcept;
-  std::size_t (*or_inplace_added)(std::uint64_t*, const std::uint64_t*,
-                                  std::size_t) noexcept;
-  std::size_t (*fused_and_columns)(std::uint64_t*, const std::uint64_t*,
-                                   const std::uint64_t* const*, std::size_t,
-                                   std::size_t) noexcept;
-  std::size_t (*gather_and_popcount)(const std::uint64_t*,
-                                     const std::uint64_t*, const std::size_t*,
-                                     std::size_t) noexcept;
-  std::size_t (*nonzero_indices)(const std::uint64_t*, std::size_t,
-                                 std::size_t*) noexcept;
-  std::size_t (*nonzero_indices_u32)(const std::uint64_t*, std::size_t,
-                                     std::uint32_t*) noexcept;
-  void (*scatter_words)(std::uint64_t*, const std::uint64_t*,
-                        const std::size_t*, std::size_t,
-                        std::size_t) noexcept;
-  void (*strided_weight_decay)(double*, std::size_t, std::size_t, double,
-                               std::size_t) noexcept;
-  std::size_t (*strided_match_first)(const double*, const double*,
-                                     std::size_t, std::size_t, double, double,
-                                     double) noexcept;
-};
-
-/// The scalar table (always valid).
-const KernelTable& scalar_kernels() noexcept;
-
-/// The AVX2 table, or nullptr when this build/CPU cannot run it.
-const KernelTable* avx2_kernels() noexcept;
-
-/// Table for `isa`, clamped to detected_isa().
-const KernelTable& kernels_for(Isa isa) noexcept;
 
 }  // namespace tagwatch::util::simd

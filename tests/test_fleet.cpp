@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/fleet.hpp"
@@ -322,6 +323,41 @@ TEST(FleetJournal, RejectsMalformedCsv) {
                    "# tagwatch-fleet-journal v1\nS,1,independent,S1,0\n"
                    "F,0,0,z,1\n"),
                std::invalid_argument);
+}
+
+TEST(FleetJournal, RejectsNegativeCounts) {
+  // Every size_t field used to accept a negative value and wrap it to
+  // 2^64-k, so to_csv(from_csv(x)) != x.  Each must now be rejected with
+  // std::invalid_argument naming the line.
+  const std::string header = "# tagwatch-fleet-journal v1\n";
+  const std::string setup = "S,2,independent,S1,500\n";
+  const std::string epc(96, '1');
+  for (const auto& [csv, line] : std::vector<std::pair<std::string, int>>{
+           {header + "S,-1,independent,S1,0\n", 2},
+           {header + setup + "F,-1,0,z,1,2,3,0\n", 3},
+           {header + setup + "F,0,-2,z,1,2,3,0\n", 3},
+           {header + setup + "F,0,0,z,1,2,3,-1\n", 3},
+           {header + setup + "H," + epc + ",-1,1,10\n", 3},
+           {header + setup + "H," + epc + ",0,-1,10\n", 3},
+           {header + setup + "D,0,0,z,-1\n", 3},
+           {header + setup + "T,0,-1,1,1500\n", 3},
+           {header + setup + "R,4,0,-1\n", 3},
+       }) {
+    try {
+      (void)llrp::FleetJournal::from_csv(csv);
+      ADD_FAILURE() << "accepted:\n" << csv;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("line " + std::to_string(line) +
+                                           ":"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // A negative radius is a signed field and stays valid; the whole
+  // well-formed journal round-trips exactly.
+  const std::string ok = header + setup + "F,0,1,z,1,2,3,0\nH," + epc +
+                         ",0,1,10\nD,1,0,z,3\nT,1,0,1,-1500\nR,4,0,3\n";
+  EXPECT_EQ(llrp::FleetJournal::from_csv(ok).to_csv(), ok);
 }
 
 // --------------------------------------------------------- record → replay

@@ -272,37 +272,6 @@ TEST(IndicatorBitmap, AliasedSparseAssignMatchesFullRecount) {
   }
 }
 
-// The word array must stay 64-byte aligned through every way the backing
-// vector can change hands — the SIMD kernels' 256-bit loads rely on it
-// never splitting a cache line (util::AlignedAllocator contract).
-TEST(IndicatorBitmap, WordStorageStays64ByteAligned) {
-  const auto aligned = [](const IndicatorBitmap& b) {
-    return b.word_count() == 0 ||
-           reinterpret_cast<std::uintptr_t>(b.word_data()) % 64 == 0;
-  };
-  IndicatorBitmap b(1000);
-  EXPECT_TRUE(aligned(b));
-
-  IndicatorBitmap moved(std::move(b));
-  EXPECT_TRUE(aligned(moved));
-
-  IndicatorBitmap other(64);
-  std::swap(moved, other);
-  EXPECT_TRUE(aligned(moved));
-  EXPECT_TRUE(aligned(other));
-
-  // Growth through assign_words (the sweep's resize path).
-  std::vector<std::uint64_t> words(400, ~std::uint64_t{0});
-  other.assign_words(400 * 64, words.data());
-  EXPECT_TRUE(aligned(other));
-
-  IndicatorBitmap assigned;
-  assigned = other;
-  EXPECT_TRUE(aligned(assigned));
-  assigned = IndicatorBitmap(77);
-  EXPECT_TRUE(aligned(assigned));
-}
-
 TEST(IndicatorBitmap, CountRandomizedAgainstReference) {
   Rng rng(13);
   IndicatorBitmap b(513);

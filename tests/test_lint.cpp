@@ -449,47 +449,6 @@ TEST(LintThreading, MutexInTaskPoolCommentOrStringIsNotFlagged) {
   EXPECT_TRUE(run_one("src/core/cache.cpp", literal).findings.empty());
 }
 
-// -------------------------------------------------- simd-discipline (V)
-
-TEST(LintSimd, FlagsRawIntrinsicsOutsideSimdModule) {
-  EXPECT_TRUE(has_rule(run_one("src/core/bad.cpp",
-                               "__m256i v = _mm256_and_si256(a, b);\n"),
-                       "simd-discipline"));
-  EXPECT_TRUE(has_rule(run_one("tests/test_bad.cpp",
-                               "auto v = __builtin_ia32_pand256(a, b);\n"),
-                       "simd-discipline"));
-  EXPECT_TRUE(has_rule(run_one("src/util/other.cpp",
-                               "#include <immintrin.h>\nint x;\n"),
-                       "simd-discipline"));
-}
-
-TEST(LintSimd, SimdModuleFilesAreExempt) {
-  const char* body = "#include <immintrin.h>\n__m256i v = _mm256_setzero_si256();\n";
-  EXPECT_TRUE(run_one("src/util/simd_avx2.cpp", body).findings.empty());
-  EXPECT_TRUE(has_rule(run_one("src/core/kernels.cpp", body),
-                       "simd-discipline"));
-}
-
-TEST(LintSimd, PlainIdentifiersAndOtherHeadersAreNotFlagged) {
-  // `comm_mm` only contains the prefix mid-identifier; <cstring> is not an
-  // intrinsics header; simd-namespace calls are the sanctioned API.
-  EXPECT_TRUE(run_one("src/core/ok.cpp",
-                      "#include <cstring>\nint comm_mm = 0;\n"
-                      "auto n = util::simd::popcount_words(w, k);\n")
-                  .findings.empty());
-}
-
-TEST(LintSimd, SetActiveIsaFlaggedInSrcOutsideSimdModule) {
-  const char* body = "util::simd::set_active_isa(util::simd::Isa::kScalar);\n";
-  EXPECT_TRUE(has_rule(run_one("src/core/other.cpp", body),
-                       "simd-discipline"));
-  EXPECT_TRUE(has_rule(run_one("src/core/tagwatch.cpp", body),
-                       "simd-discipline"));
-  // Tests, tools and benches flip the ISA freely for A/B runs.
-  EXPECT_TRUE(run_one("tests/test_ok.cpp", body).findings.empty());
-  EXPECT_TRUE(run_one("bench/bench_ok.cpp", body).findings.empty());
-}
-
 TEST(LintAllow, AnnotationOnLineAboveSuppresses) {
   const LintReport r = run_one(
       "src/core/waiver.cpp",
@@ -522,7 +481,7 @@ TEST(LintEngine, RuleNamesAreStable) {
   const std::vector<std::string> expected = {
       "determinism",          "header-pragma-once",  "header-using-namespace",
       "include-order",        "pipeline-reentrancy", "journal-discipline",
-      "threading-discipline", "simd-discipline"};
+      "threading-discipline"};
   EXPECT_EQ(names, expected);
 }
 

@@ -1,8 +1,8 @@
 // Differential tests for parallel Phase-II planning: candidate generation
-// sharded across util::TaskPool and the SIMD kernel dispatch must both be
-// invisible in the output.  Candidate tables, greedy-cover schedules and
-// incremental-planner plans are compared for byte-identity against the
-// serial scalar oracle at every thread count and every available ISA.
+// sharded across util::TaskPool must be invisible in the output.
+// Candidate tables, greedy-cover schedules and incremental-planner plans
+// are compared for byte-identity against the serial oracle at every
+// thread count.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -14,19 +14,10 @@
 #include "core/setcover.hpp"
 #include "util/epc.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 #include "util/task_pool.hpp"
 
 namespace tagwatch::core {
 namespace {
-
-/// Restores the entry ISA when a test that repoints the kernel table
-/// exits (pass or fail), so test order can never leak an ISA change —
-/// including the forced-scalar pin of a TAGWATCH_TEST_FORCE_SCALAR run.
-struct IsaGuard {
-  util::simd::Isa saved = util::simd::active_isa();
-  ~IsaGuard() { util::simd::set_active_isa(saved); }
-};
 
 std::vector<util::Epc> random_scene(std::size_t n, util::Rng& rng) {
   std::map<util::Epc, bool> uniq;
@@ -111,32 +102,23 @@ TEST(ParallelPlanning, NullAndSingleThreadPoolsAreTheSerialPath) {
   expect_candidates_identical(index.candidates_for(targets, &one), serial);
 }
 
-TEST(ParallelPlanning, ScheduleIdenticalAcrossIsaAndThreads) {
-  IsaGuard guard;
+TEST(ParallelPlanning, ScheduleIdenticalAcrossThreads) {
   util::Rng rng(0x91a2);
   const BitmaskIndex index(random_scene(512, rng));
   const util::IndicatorBitmap targets = random_targets(512, 24, rng);
   const GreedyCoverScheduler scheduler(InventoryCostModel::paper_fit());
 
-  // Oracle: scalar kernels, serial candidate generation.
-  util::simd::set_active_isa(util::simd::Isa::kScalar);
+  // Oracle: serial candidate generation.
   const Schedule oracle = scheduler.plan(index, targets);
 
-  for (const util::simd::Isa isa :
-       {util::simd::Isa::kScalar, util::simd::detected_isa()}) {
-    util::simd::set_active_isa(isa);
-    for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-      SCOPED_TRACE(testing::Message()
-                   << util::simd::isa_name(isa) << " x " << threads);
-      util::TaskPool pool(threads);
-      expect_schedules_identical(scheduler.plan(index, targets, &pool),
-                                 oracle);
-    }
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    util::TaskPool pool(threads);
+    expect_schedules_identical(scheduler.plan(index, targets, &pool), oracle);
   }
 }
 
-TEST(ParallelPlanning, IncrementalRebuildIdenticalAcrossIsaAndThreads) {
-  IsaGuard guard;
+TEST(ParallelPlanning, IncrementalRebuildIdenticalAcrossThreads) {
   util::Rng rng(0x9eb01d);
   const std::vector<util::Epc> scene = random_scene(768, rng);
   std::vector<util::Epc> targets;
@@ -145,23 +127,16 @@ TEST(ParallelPlanning, IncrementalRebuildIdenticalAcrossIsaAndThreads) {
   }
   if (targets.empty()) targets.push_back(scene.front());
 
-  // Oracle: scalar kernels, serial rebuild.
-  util::simd::set_active_isa(util::simd::Isa::kScalar);
+  // Oracle: serial rebuild.
   IncrementalPlanner serial(InventoryCostModel::paper_fit());
   const Schedule oracle = serial.plan_cycle(scene, targets);
 
-  for (const util::simd::Isa isa :
-       {util::simd::Isa::kScalar, util::simd::detected_isa()}) {
-    util::simd::set_active_isa(isa);
-    for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-      SCOPED_TRACE(testing::Message()
-                   << util::simd::isa_name(isa) << " x " << threads);
-      util::TaskPool pool(threads);
-      IncrementalPlanner planner(InventoryCostModel::paper_fit(), 0.15,
-                                 &pool);
-      expect_schedules_identical(planner.plan_cycle(scene, targets), oracle);
-      EXPECT_EQ(planner.stats().full_rebuilds, 1u);
-    }
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    util::TaskPool pool(threads);
+    IncrementalPlanner planner(InventoryCostModel::paper_fit(), 0.15, &pool);
+    expect_schedules_identical(planner.plan_cycle(scene, targets), oracle);
+    EXPECT_EQ(planner.stats().full_rebuilds, 1u);
   }
 }
 

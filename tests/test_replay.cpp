@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <optional>
+#include <string>
 
 #include "core/tagwatch.hpp"
 #include "llrp/recording_reader_client.hpp"
@@ -220,6 +221,55 @@ TEST(ReaderJournal, RejectsMalformedCsv) {
           "# tagwatch-reader-journal v1\nE,0123456789abcdef,0,10,1,1,0,0,1,"
           "0,10,1\n"),
       std::invalid_argument);
+}
+
+/// Asserts that `csv` is rejected with std::invalid_argument naming
+/// `line` — not accepted, and not a length_error or bad_alloc.
+void expect_rejected_at(const std::string& csv, std::size_t line) {
+  try {
+    (void)ReaderJournal::from_csv(csv);
+    ADD_FAILURE() << "accepted:\n" << csv;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("line " + std::to_string(line) +
+                                         ":"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ReaderJournal, RejectsNegativeAndUntrustedCounts) {
+  const std::string header = "# tagwatch-reader-journal v1\n";
+  const std::string execute = "E,0123456789abcdef,0,10,1,1,0,0,1,0,10,";
+  const std::string reading = "R," + std::string(96, '0') + ",1,0,0.5,-60,5\n";
+  // A negative reading count used to reach vector::reserve as 2^64-1.
+  expect_rejected_at(header + execute + "-1\n", 2);
+  // Declared counts are untrusted: nothing is reserved for readings that
+  // never arrive, so a huge count is a truncated journal, not bad_alloc.
+  expect_rejected_at(header + execute + "1000000000000\n", 2);
+  expect_rejected_at(header + execute + "100000000\n" + reading, 3);
+  // Every other count field: negative values used to wrap silently.
+  expect_rejected_at(header + "C,sim,-1,1,0,0\n", 2);
+  expect_rejected_at(header + "C,sim,4,-1,0,0\n", 2);
+  expect_rejected_at(header + "E,0123456789abcdef,0,10,-1,1,0,0,1,0,10,0\n",
+                     2);
+  expect_rejected_at(header + "E,0123456789abcdef,0,10,1,1,0,0,1,-3,10,0\n",
+                     2);
+  expect_rejected_at(header + execute + "0\nX,timeout,-1,lost\n", 3);
+  expect_rejected_at(
+      header + execute + "1\nR," + std::string(96, '0') + ",1,-1,0.5,-60,5\n",
+      3);
+  // The antenna is a uint8_t on the wire: out-of-range values used to
+  // truncate (256 -> 0) instead of failing.
+  expect_rejected_at(
+      header + execute + "1\nR," + std::string(96, '0') + ",-1,0,0.5,-60,5\n",
+      3);
+  expect_rejected_at(
+      header + execute + "1\nR," + std::string(96, '0') + ",256,0,0.5,-60,5\n",
+      3);
+  // The well-formed twin of the cases above round-trips exactly.
+  const std::string ok = header + "C,sim,4,1,0,0\n" + execute + "1\n" +
+                         reading;
+  EXPECT_EQ(ReaderJournal::from_csv(ok).to_csv(), ok);
 }
 
 TEST(ReaderJournal, SaveLoadRoundTrip) {

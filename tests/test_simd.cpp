@@ -1,17 +1,13 @@
-// Differential fuzz of the AVX2 kernel table against its scalar twin
-// (the bit-identity contract of util/simd.hpp), plus dispatch-state
-// tests.  Every kernel is exercised at adversarial widths — zero words,
-// one word, non-multiple-of-4 tails, all-ones, all-zeros, random — and
-// the in-place kernels additionally with dst aliasing src exactly.  When
-// the build or CPU has no AVX2 table the differential cases skip.
+// The util::simd word kernels against an independent per-bit reference.
+// Every kernel is exercised at adversarial widths — zero words, one word,
+// ragged tails, all-ones, all-zeros, random — and the in-place kernels
+// additionally with dst aliasing src (or head) exactly.
 #include "util/simd.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -20,28 +16,16 @@
 namespace tagwatch::util::simd {
 namespace {
 
-// CI's forced-scalar pass sets TAGWATCH_TEST_FORCE_SCALAR=1 so the whole
-// suite runs against the portable kernels even on AVX2 hardware —
-// proving no code path silently depends on the vector implementations.
-// A static initializer (not a gtest Environment) so the pin is in place
-// before any test file's own statics read the active table.
-const bool g_forced_scalar = [] {
-  const char* v = std::getenv("TAGWATCH_TEST_FORCE_SCALAR");
-  if (v == nullptr || v[0] == '\0' || v[0] == '0') return false;
-  set_active_isa(Isa::kScalar);
-  return true;
-}();
-
-// Widths spanning empty, sub-block, exact-block, and ragged-tail shapes
-// (the AVX2 loops process 4 words per iteration).
 constexpr std::size_t kWidths[] = {0, 1, 2, 3, 4, 5, 7, 8, 9,
                                    15, 16, 17, 31, 32, 33, 100, 257};
 
 enum class Fill { kZeros, kOnes, kRandom };
 constexpr Fill kFills[] = {Fill::kZeros, Fill::kOnes, Fill::kRandom};
 
-std::vector<std::uint64_t> make_words(std::size_t n, Fill fill, Rng& rng) {
-  std::vector<std::uint64_t> w(n);
+using Words = std::vector<std::uint64_t>;
+
+Words make_words(std::size_t n, Fill fill, Rng& rng) {
+  Words w(n);
   for (auto& v : w) {
     switch (fill) {
       case Fill::kZeros: v = 0; break;
@@ -57,161 +41,200 @@ std::vector<std::uint64_t> make_words(std::size_t n, Fill fill, Rng& rng) {
   return w;
 }
 
-class SimdDifferential : public ::testing::Test {
- protected:
-  void SetUp() override {
-    if (avx2_kernels() == nullptr) {
-      GTEST_SKIP() << "no AVX2 table on this build/CPU";
-    }
+// ------------------------------------------------------ per-bit reference
+// Bit-at-a-time with no popcount and no word-wide logic, so a slip in a
+// kernel's word expression cannot be mirrored here.
+
+bool bit(const Words& w, std::size_t i) {
+  return ((w[i / 64] >> (i % 64)) & 1u) != 0;
+}
+
+void put(Words& w, std::size_t i, bool v) {
+  const std::uint64_t m = std::uint64_t{1} << (i % 64);
+  w[i / 64] = v ? (w[i / 64] | m) : (w[i / 64] & ~m);
+}
+
+std::size_t ref_count(const Words& w) {
+  std::size_t c = 0;
+  for (std::size_t i = 0; i < w.size() * 64; ++i) {
+    if (bit(w, i)) ++c;
   }
-  const KernelTable& scalar_ = scalar_kernels();
-  const KernelTable& avx2_ = *avx2_kernels();
+  return c;
+}
+
+/// out[i] = op(a[i], b[i]) bit by bit.
+template <typename Op>
+Words ref_zip(const Words& a, const Words& b, Op op) {
+  Words out(a.size());
+  for (std::size_t i = 0; i < a.size() * 64; ++i) {
+    put(out, i, op(bit(a, i), bit(b, i)));
+  }
+  return out;
+}
+
+bool ref_and(bool x, bool y) { return x && y; }
+bool ref_andnot(bool x, bool y) { return x && !y; }
+bool ref_or(bool x, bool y) { return x || y; }
+bool ref_added(bool x, bool y) { return !x && y; }
+
+bool ref_nonzero(const Words& w, std::size_t word) {
+  for (std::size_t b = 0; b < 64; ++b) {
+    if (bit(w, word * 64 + b)) return true;
+  }
+  return false;
+}
+
+class SimdKernels : public ::testing::Test {
+ protected:
   Rng rng_{0x51d0f1d0};
 };
 
-TEST_F(SimdDifferential, PopcountWords) {
+TEST_F(SimdKernels, PopcountWords) {
   for (const std::size_t n : kWidths) {
     for (const Fill fill : kFills) {
       const auto w = make_words(n, fill, rng_);
-      EXPECT_EQ(scalar_.popcount_words(w.data(), n),
-                avx2_.popcount_words(w.data(), n))
-          << "n=" << n;
+      EXPECT_EQ(popcount_words(w.data(), n), ref_count(w)) << "n=" << n;
     }
   }
 }
 
-TEST_F(SimdDifferential, AndPopcount) {
+TEST_F(SimdKernels, AndPopcount) {
   for (const std::size_t n : kWidths) {
     for (const Fill fill : kFills) {
       const auto a = make_words(n, fill, rng_);
       const auto b = make_words(n, Fill::kRandom, rng_);
-      EXPECT_EQ(scalar_.and_popcount(a.data(), b.data(), n),
-                avx2_.and_popcount(a.data(), b.data(), n))
+      EXPECT_EQ(and_popcount(a.data(), b.data(), n),
+                ref_count(ref_zip(a, b, ref_and)))
           << "n=" << n;
     }
   }
 }
 
-// Shared driver for the three in-place word kernels: runs both tables on
-// separate copies and compares the returned count AND the mutated words,
-// then repeats with dst aliasing src exactly.
-template <typename Kernel>
-void check_inplace(const KernelTable& scalar, const KernelTable& avx2,
-                   Kernel member, Rng& rng) {
+// Shared check for the three in-place word kernels: `result` is the
+// reference dst after the call and `counted` the reference bit set whose
+// size the kernel returns.  Repeats with dst aliasing src exactly.
+using InplaceKernel = std::size_t (*)(std::uint64_t*, const std::uint64_t*,
+                                      std::size_t) noexcept;
+using BitOp = bool (*)(bool, bool);
+
+void check_inplace(InplaceKernel kernel, BitOp result, BitOp counted,
+                   Rng& rng) {
   for (const std::size_t n : kWidths) {
     for (const Fill fill : kFills) {
       const auto dst0 = make_words(n, Fill::kRandom, rng);
       const auto src = make_words(n, fill, rng);
-      auto dst_s = dst0;
-      auto dst_v = dst0;
-      const std::size_t r_s = (scalar.*member)(dst_s.data(), src.data(), n);
-      const std::size_t r_v = (avx2.*member)(dst_v.data(), src.data(), n);
-      EXPECT_EQ(r_s, r_v) << "n=" << n;
-      EXPECT_EQ(dst_s, dst_v) << "n=" << n;
+      auto dst = dst0;
+      EXPECT_EQ(kernel(dst.data(), src.data(), n),
+                ref_count(ref_zip(dst0, src, counted)))
+          << "n=" << n;
+      EXPECT_EQ(dst, ref_zip(dst0, src, result)) << "n=" << n;
 
       // Exact aliasing: dst == src is allowed by the contract.
-      auto alias_s = dst0;
-      auto alias_v = dst0;
-      const std::size_t a_s =
-          (scalar.*member)(alias_s.data(), alias_s.data(), n);
-      const std::size_t a_v = (avx2.*member)(alias_v.data(), alias_v.data(), n);
-      EXPECT_EQ(a_s, a_v) << "aliased n=" << n;
-      EXPECT_EQ(alias_s, alias_v) << "aliased n=" << n;
+      auto alias = dst0;
+      EXPECT_EQ(kernel(alias.data(), alias.data(), n),
+                ref_count(ref_zip(dst0, dst0, counted)))
+          << "aliased n=" << n;
+      EXPECT_EQ(alias, ref_zip(dst0, dst0, result)) << "aliased n=" << n;
     }
   }
 }
 
-TEST_F(SimdDifferential, AndInplacePopcount) {
-  check_inplace(scalar_, avx2_, &KernelTable::and_inplace_popcount, rng_);
+TEST_F(SimdKernels, AndInplacePopcount) {
+  check_inplace(&and_inplace_popcount, ref_and, ref_and, rng_);
 }
 
-TEST_F(SimdDifferential, AndnotInplaceRemoved) {
-  check_inplace(scalar_, avx2_, &KernelTable::andnot_inplace_removed, rng_);
+TEST_F(SimdKernels, AndnotInplaceRemoved) {
+  check_inplace(&andnot_inplace_removed, ref_andnot, ref_and, rng_);
 }
 
-TEST_F(SimdDifferential, OrInplaceAdded) {
-  check_inplace(scalar_, avx2_, &KernelTable::or_inplace_added, rng_);
+TEST_F(SimdKernels, OrInplaceAdded) {
+  check_inplace(&or_inplace_added, ref_or, ref_added, rng_);
 }
 
-TEST_F(SimdDifferential, FusedAndColumns) {
+TEST_F(SimdKernels, FusedAndColumns) {
   for (const std::size_t n : kWidths) {
     for (std::size_t n_cols = 0; n_cols <= 5; ++n_cols) {
       const auto head = make_words(n, Fill::kRandom, rng_);
-      std::vector<std::vector<std::uint64_t>> cols;
+      std::vector<Words> cols;
       std::vector<const std::uint64_t*> col_ptrs;
+      Words expected = head;
       for (std::size_t c = 0; c < n_cols; ++c) {
         // Include an all-zero column sometimes to hit the early-zero cut.
         cols.push_back(make_words(
             n, c == 2 ? Fill::kZeros : Fill::kRandom, rng_));
         col_ptrs.push_back(cols.back().data());
+        expected = ref_zip(expected, cols.back(), ref_and);
       }
-      std::vector<std::uint64_t> dst_s(n), dst_v(n);
-      const std::size_t r_s = scalar_.fused_and_columns(
-          dst_s.data(), head.data(), col_ptrs.data(), n_cols, n);
-      const std::size_t r_v = avx2_.fused_and_columns(
-          dst_v.data(), head.data(), col_ptrs.data(), n_cols, n);
-      EXPECT_EQ(r_s, r_v) << "n=" << n << " cols=" << n_cols;
-      EXPECT_EQ(dst_s, dst_v) << "n=" << n << " cols=" << n_cols;
+      Words dst(n, ~std::uint64_t{0});
+      EXPECT_EQ(fused_and_columns(dst.data(), head.data(), col_ptrs.data(),
+                                  n_cols, n),
+                ref_count(expected))
+          << "n=" << n << " cols=" << n_cols;
+      EXPECT_EQ(dst, expected) << "n=" << n << " cols=" << n_cols;
 
       // dst aliasing head is allowed.
-      auto alias_s = head;
-      auto alias_v = head;
-      const std::size_t a_s = scalar_.fused_and_columns(
-          alias_s.data(), alias_s.data(), col_ptrs.data(), n_cols, n);
-      const std::size_t a_v = avx2_.fused_and_columns(
-          alias_v.data(), alias_v.data(), col_ptrs.data(), n_cols, n);
-      EXPECT_EQ(a_s, a_v) << "aliased n=" << n << " cols=" << n_cols;
-      EXPECT_EQ(alias_s, alias_v) << "aliased n=" << n << " cols=" << n_cols;
+      auto alias = head;
+      EXPECT_EQ(fused_and_columns(alias.data(), alias.data(), col_ptrs.data(),
+                                  n_cols, n),
+                ref_count(expected))
+          << "aliased n=" << n << " cols=" << n_cols;
+      EXPECT_EQ(alias, expected) << "aliased n=" << n << " cols=" << n_cols;
     }
   }
 }
 
-TEST_F(SimdDifferential, GatherAndPopcount) {
+TEST_F(SimdKernels, GatherAndPopcount) {
   for (const std::size_t n : kWidths) {
     if (n == 0) continue;
     const auto a = make_words(n, Fill::kRandom, rng_);
     const auto b = make_words(n, Fill::kRandom, rng_);
+    const Words both = ref_zip(a, b, ref_and);
     // Index lists of every length 0..n over distinct ascending indices.
     for (std::size_t n_idx = 0; n_idx <= n; n_idx += (n_idx < 5 ? 1 : 7)) {
       std::vector<std::size_t> idx;
+      std::size_t expected = 0;
       for (std::size_t k = 0; k < n_idx; ++k) {
-        idx.push_back(k * n / (n_idx == 0 ? 1 : n_idx));
+        idx.push_back(k * n / n_idx);
+        for (std::size_t j = 0; j < 64; ++j) {
+          if (bit(both, idx.back() * 64 + j)) ++expected;
+        }
       }
-      EXPECT_EQ(scalar_.gather_and_popcount(a.data(), b.data(), idx.data(),
-                                            idx.size()),
-                avx2_.gather_and_popcount(a.data(), b.data(), idx.data(),
-                                          idx.size()))
+      EXPECT_EQ(gather_and_popcount(a.data(), b.data(), idx.data(),
+                                    idx.size()),
+                expected)
           << "n=" << n << " n_idx=" << idx.size();
     }
   }
 }
 
-TEST_F(SimdDifferential, NonzeroIndices) {
+TEST_F(SimdKernels, NonzeroIndices) {
   for (const std::size_t n : kWidths) {
     for (const Fill fill : kFills) {
       const auto w = make_words(n, fill, rng_);
-      std::vector<std::size_t> out_s(n + 1, ~std::size_t{0});
-      std::vector<std::size_t> out_v(n + 1, ~std::size_t{0});
-      const std::size_t r_s = scalar_.nonzero_indices(w.data(), n,
-                                                      out_s.data());
-      const std::size_t r_v = avx2_.nonzero_indices(w.data(), n, out_v.data());
-      EXPECT_EQ(r_s, r_v) << "n=" << n;
-      EXPECT_EQ(out_s, out_v) << "n=" << n;
+      std::vector<std::size_t> expected;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (ref_nonzero(w, i)) expected.push_back(i);
+      }
 
-      std::vector<std::uint32_t> o32_s(n + 1, ~std::uint32_t{0});
-      std::vector<std::uint32_t> o32_v(n + 1, ~std::uint32_t{0});
-      const std::size_t u_s = scalar_.nonzero_indices_u32(w.data(), n,
-                                                          o32_s.data());
-      const std::size_t u_v = avx2_.nonzero_indices_u32(w.data(), n,
-                                                        o32_v.data());
-      EXPECT_EQ(u_s, u_v) << "n=" << n;
-      EXPECT_EQ(o32_s, o32_v) << "n=" << n;
-      EXPECT_EQ(u_s, r_s) << "n=" << n;
+      std::vector<std::size_t> out(n + 1, ~std::size_t{0});
+      const std::size_t m = nonzero_indices(w.data(), n, out.data());
+      ASSERT_EQ(m, expected.size()) << "n=" << n;
+      EXPECT_TRUE(std::equal(expected.begin(), expected.end(), out.begin()))
+          << "n=" << n;
+      EXPECT_EQ(out[m], ~std::size_t{0}) << "wrote past the count, n=" << n;
+
+      std::vector<std::uint32_t> o32(n + 1, ~std::uint32_t{0});
+      const std::size_t m32 = nonzero_indices_u32(w.data(), n, o32.data());
+      ASSERT_EQ(m32, expected.size()) << "n=" << n;
+      for (std::size_t k = 0; k < m32; ++k) {
+        EXPECT_EQ(o32[k], expected[k]) << "n=" << n << " k=" << k;
+      }
+      EXPECT_EQ(o32[m32], ~std::uint32_t{0}) << "n=" << n;
     }
   }
 }
 
-TEST_F(SimdDifferential, ScatterWords) {
+TEST_F(SimdKernels, ScatterWords) {
   for (const std::size_t n : kWidths) {
     const auto src = make_words(n, Fill::kRandom, rng_);
     for (std::size_t n_idx = 0; n_idx <= n; n_idx += (n_idx < 5 ? 1 : 11)) {
@@ -220,152 +243,17 @@ TEST_F(SimdDifferential, ScatterWords) {
         idx.push_back(k * n / n_idx);
       }
       idx.erase(std::unique(idx.begin(), idx.end()), idx.end());
-      std::vector<std::uint64_t> dst_s(n, ~std::uint64_t{0});
-      std::vector<std::uint64_t> dst_v(n, ~std::uint64_t{0});
-      scalar_.scatter_words(dst_s.data(), src.data(), idx.data(), idx.size(),
-                            n);
-      avx2_.scatter_words(dst_v.data(), src.data(), idx.data(), idx.size(), n);
-      EXPECT_EQ(dst_s, dst_v) << "n=" << n << " n_idx=" << idx.size();
-    }
-  }
-}
-
-TEST_F(SimdDifferential, StridedWeightDecay) {
-  constexpr std::size_t kStrides[] = {1, 2, 3, 4, 6};
-  for (const std::size_t stride : kStrides) {
-    for (std::size_t n = 0; n <= 9; ++n) {
-      for (std::size_t skip = 0; skip <= n + 1; ++skip) {
-        std::vector<double> bank_s(n * stride + 1);
-        for (std::size_t i = 0; i < bank_s.size(); ++i) {
-          bank_s[i] = rng_.uniform(-2.0, 2.0);
+      Words expected(n, 0);
+      for (const std::size_t i : idx) {
+        for (std::size_t j = 0; j < 64; ++j) {
+          put(expected, i * 64 + j, bit(src, i * 64 + j));
         }
-        auto bank_v = bank_s;
-        scalar_.strided_weight_decay(bank_s.data(), stride, n, 0.999, skip);
-        avx2_.strided_weight_decay(bank_v.data(), stride, n, 0.999, skip);
-        // Bit-exact comparison, including the untouched stride gaps.
-        ASSERT_EQ(0, std::memcmp(bank_s.data(), bank_v.data(),
-                                 bank_s.size() * sizeof(double)))
-            << "stride=" << stride << " n=" << n << " skip=" << skip;
       }
+      Words dst(n, ~std::uint64_t{0});
+      scatter_words(dst.data(), src.data(), idx.data(), idx.size(), n);
+      EXPECT_EQ(dst, expected) << "n=" << n << " n_idx=" << idx.size();
     }
   }
-}
-
-// The decay kernel must leave non-weight lanes bit-identical even when
-// they hold non-double payloads (GaussianComponent::count is a size_t
-// living in lane 3 of the stride-4 bank) — a multiply-by-1.0 of a NaN
-// bit pattern would not round-trip.
-TEST_F(SimdDifferential, StridedWeightDecayPreservesForeignBitPatterns) {
-  constexpr std::size_t kStride = 4;
-  constexpr std::size_t kN = 7;
-  std::vector<double> bank_s(kStride * kN);
-  for (std::size_t i = 0; i < kN; ++i) {
-    bank_s[i * kStride] = 0.5;
-    // Lanes 1..3: signaling-NaN-ish and integer bit patterns.
-    const std::uint64_t patterns[] = {0x7ff0000000000001ull,
-                                      0xfff8000000001234ull,
-                                      i};  // a raw count
-    for (std::size_t lane = 1; lane < kStride; ++lane) {
-      std::memcpy(&bank_s[i * kStride + lane], &patterns[lane - 1],
-                  sizeof(double));
-    }
-  }
-  auto bank_v = bank_s;
-  scalar_.strided_weight_decay(bank_s.data(), kStride, kN, 0.999, 2);
-  avx2_.strided_weight_decay(bank_v.data(), kStride, kN, 0.999, 2);
-  ASSERT_EQ(0, std::memcmp(bank_s.data(), bank_v.data(),
-                           bank_s.size() * sizeof(double)));
-  // And the foreign lanes are untouched relative to construction.
-  for (std::size_t i = 0; i < kN; ++i) {
-    std::uint64_t lane3;
-    std::memcpy(&lane3, &bank_s[i * kStride + 3], sizeof(double));
-    EXPECT_EQ(lane3, i);
-  }
-}
-
-TEST_F(SimdDifferential, StridedMatchFirst) {
-  constexpr std::size_t kStrides[] = {1, 2, 4, 6};
-  for (const std::size_t stride : kStrides) {
-    for (std::size_t n = 0; n <= 9; ++n) {
-      std::vector<double> means(n * stride + 1);
-      std::vector<double> stddevs(n * stride + 1);
-      for (std::size_t i = 0; i < n; ++i) {
-        means[i * stride] = rng_.uniform(-5.0, 5.0);
-        stddevs[i * stride] = rng_.uniform(0.0, 1.0);
-      }
-      for (int probe = 0; probe < 32; ++probe) {
-        const double value = rng_.uniform(-6.0, 6.0);
-        EXPECT_EQ(scalar_.strided_match_first(means.data(), stddevs.data(),
-                                              stride, n, value, 3.0, 0.03),
-                  avx2_.strided_match_first(means.data(), stddevs.data(),
-                                            stride, n, value, 3.0, 0.03))
-            << "stride=" << stride << " n=" << n << " value=" << value;
-      }
-      // Degenerate thresholds: every component matches / none matches.
-      if (n > 0) {
-        EXPECT_EQ(scalar_.strided_match_first(means.data(), stddevs.data(),
-                                              stride, n, 0.0, 1e9, 0.03),
-                  avx2_.strided_match_first(means.data(), stddevs.data(),
-                                            stride, n, 0.0, 1e9, 0.03));
-        EXPECT_EQ(scalar_.strided_match_first(means.data(), stddevs.data(),
-                                              stride, n, 1e12, 3.0, 0.03),
-                  avx2_.strided_match_first(means.data(), stddevs.data(),
-                                            stride, n, 1e12, 3.0, 0.03));
-      }
-    }
-  }
-}
-
-// ------------------------------------------------------- dispatch state
-
-TEST(SimdDispatch, DetectedIsValidAndTablesAgreeWithProbe) {
-  const Isa detected = detected_isa();
-  if (detected == Isa::kAvx2) {
-    ASSERT_NE(avx2_kernels(), nullptr);
-    EXPECT_EQ(avx2_kernels()->isa, Isa::kAvx2);
-  } else {
-    EXPECT_EQ(avx2_kernels(), nullptr);
-  }
-  EXPECT_EQ(scalar_kernels().isa, Isa::kScalar);
-}
-
-TEST(SimdDispatch, SetActiveClampsToDetected) {
-  const Isa original = active_isa();
-  EXPECT_EQ(set_active_isa(Isa::kScalar), Isa::kScalar);
-  EXPECT_EQ(active_isa(), Isa::kScalar);
-  const Isa raised = set_active_isa(Isa::kAvx2);
-  EXPECT_EQ(raised, detected_isa());  // clamped on non-AVX2 machines
-  EXPECT_EQ(active_isa(), raised);
-  set_active_isa(original);
-}
-
-TEST(SimdDispatch, KernelsForClampsAndNames) {
-  EXPECT_EQ(&kernels_for(Isa::kScalar), &scalar_kernels());
-  const KernelTable& t = kernels_for(Isa::kAvx2);
-  if (avx2_kernels() != nullptr) {
-    EXPECT_EQ(&t, avx2_kernels());
-  } else {
-    EXPECT_EQ(&t, &scalar_kernels());
-  }
-  EXPECT_STREQ(isa_name(Isa::kScalar), "scalar");
-  EXPECT_STREQ(isa_name(Isa::kAvx2), "avx2");
-}
-
-// The free functions honor the active table: force scalar, compute, then
-// restore — results must be identical either way (bit-identity), which
-// also smoke-tests dispatch through the atomic table pointer.
-TEST(SimdDispatch, FreeFunctionsFollowActiveTable) {
-  Rng rng(0xd15ba7c4);
-  std::vector<std::uint64_t> a(33), b(33);
-  for (auto& v : a) v = rng.uniform_u64(0, ~std::uint64_t{0});
-  for (auto& v : b) v = rng.uniform_u64(0, ~std::uint64_t{0});
-  const Isa original = active_isa();
-  set_active_isa(Isa::kScalar);
-  const std::size_t scalar_result = and_popcount(a.data(), b.data(), a.size());
-  set_active_isa(detected_isa());
-  const std::size_t native_result = and_popcount(a.data(), b.data(), a.size());
-  set_active_isa(original);
-  EXPECT_EQ(scalar_result, native_result);
 }
 
 }  // namespace

@@ -30,9 +30,6 @@
 //   planner.threads = 1           worker threads of Phase-II candidate
 //                                 generation (plans are bit-identical at
 //                                 any value)
-//   simd.force_scalar = false     pin util::simd kernels to the portable
-//                                 scalar implementations (A/B baseline;
-//                                 results are bit-identical)
 //   cycles          = 10
 //   phase2_seconds  = 5
 //   channels        = 1           1 or 16 (920–926 MHz plan)
@@ -44,6 +41,9 @@
 //                                 mobile (raise to 2-3 for large multi-
 //                                 antenna scenes: false votes compound)
 //   k               = 8           mixture components per immobility model
+//   assessor_threads = 1          worker threads (and shards) of Phase-I
+//                                 ingestion [1,64] (cycles and journals
+//                                 are bit-identical at any value)
 //   record_journal  = <path>      journal every reader operation to a CSV
 //                                 trace (replayable with replay_journal)
 //   replay_journal  = <path>      replay a recorded trace instead of
@@ -111,7 +111,6 @@
 #include "llrp/sim_reader_client.hpp"
 #include "util/circular.hpp"
 #include "util/config.hpp"
-#include "util/simd.hpp"
 #include "util/stats.hpp"
 
 using namespace tagwatch;
@@ -145,7 +144,7 @@ constexpr const char* kAcceptedKeys[] = {
     "fault_drop_rate", "fault_duplicate_rate", "fault_corrupt_rate",
     "fault_reconnect_ms", "retry_attempts", "degrade_after",
     "restore_after", "scheduler_evaluation", "planner.incremental",
-    "planner.churn_threshold", "planner.threads", "simd.force_scalar",
+    "planner.churn_threshold", "planner.threads",
     "fleet.readers", "fleet.pitch", "fleet.radius", "fleet.policy",
     "fleet.session", "fleet.target", "fleet.dedup_ms", "fleet.seam_tags",
     "fleet.takeover", "fleet.suspect_after", "fleet.down_after",
@@ -550,10 +549,6 @@ int run(int argc, char** argv) {
   }
 
   reject_unknown_keys(cfg);
-  // Process-wide kernel table; both ISAs give bit-identical results.
-  if (cfg.get_bool_or("simd.force_scalar", false)) {
-    util::simd::set_active_isa(util::simd::Isa::kScalar);
-  }
 
   if (int_in(cfg, "fleet.readers", 1, 1, 16) >= 2) {
     return run_fleet(cfg);
