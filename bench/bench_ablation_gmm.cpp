@@ -11,6 +11,7 @@
 #include <memory>
 
 #include "bench_common.hpp"
+#include "core/detectors.hpp"
 #include "gen2/reader.hpp"
 
 using namespace tagwatch;

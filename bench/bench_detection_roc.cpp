@@ -7,7 +7,10 @@
 // Paper shape targets: Phase-MoG dominates; at FPR 0.2, Phase-MoG and
 // Phase-diff reach TPR ≥ 0.99 while RSS-MoG ≈ 0.53 and RSS-diff ≈ 0.12;
 // an operating point with TPR ≥ 0.95 at FPR ≤ 0.1 exists for Phase-MoG.
+// Exits 1 unless Phase-MoG's best TPR at FPR ≤ 0.10 is at least 0.95 and
+// above both RSS methods' (the paper band, ctest paper_detection_roc).
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -141,6 +144,7 @@ int main() {
   const std::vector<double> xis{0.5, 1.0, 1.5, 2.0, 3.0, 4.5, 6.0, 9.0, 15.0};
 
   bench::BenchReport report("detection_roc", /*seed=*/2024);
+  std::map<core::DetectorKind, double> best;
   for (const auto& [kind, name] : methods) {
     std::printf("%-10s  %s\n", name, "(xi: FPR -> TPR)");
     double best_tpr_at_01 = 0.0;
@@ -152,9 +156,20 @@ int main() {
     std::printf("   best TPR at FPR<=0.10: %.3f\n\n", best_tpr_at_01);
     report.add(std::string(name) + "_best_tpr_at_fpr_010", best_tpr_at_01,
                "ratio");
+    best[kind] = best_tpr_at_01;
   }
   std::printf("paper: Phase-MoG achieves TPR >= 0.95 at FPR <= 0.1; "
               "RSS methods trail badly.\n");
   std::printf("wrote %s\n", report.write().c_str());
+
+  // Paper band (ctest paper_detection_roc): the Fig. 12 result above.
+  const double mog = best[core::DetectorKind::kPhaseMog];
+  if (mog < 0.95 || mog <= best[core::DetectorKind::kRssMog] ||
+      mog <= best[core::DetectorKind::kRssDiff]) {
+    std::printf("FAIL: Phase-MoG best TPR %.3f at FPR<=0.10 must be >= 0.95 "
+                "and above both RSS methods\n",
+                mog);
+    return 1;
+  }
   return 0;
 }

@@ -269,7 +269,6 @@ class FleetController {
 
   /// The per-reader controller (diagnostics/tests).
   TagwatchController& controller(std::size_t reader);
-  std::size_t reader_count() const noexcept { return readers_.size(); }
 
   /// The fleet activity journal, appended every cycle.
   const llrp::FleetJournal& journal() const noexcept { return journal_; }

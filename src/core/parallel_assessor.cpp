@@ -1,9 +1,6 @@
 #include "core/parallel_assessor.hpp"
 
 #include <algorithm>
-#include <cmath>
-
-#include "util/circular.hpp"
 
 namespace tagwatch::core {
 
@@ -27,54 +24,11 @@ std::uint32_t allocate_block(std::vector<GaussianComponent>& bank,
 
 ParallelAssessor::ParallelAssessor(AssessorConfig config, std::size_t threads)
     : config_(std::move(config)),
-      keying_(config_.detector.keying),
       pool_(threads),
       shards_(pool_.thread_count()) {
-  const DetectorConfig& d = config_.detector;
-  switch (config_.detector_kind) {
-    case DetectorKind::kPhaseMog:
-      mode_ = Mode::kMog;
-      bank_a_ = {d.phase_mog, Metric::kCircular, true};
-      break;
-    case DetectorKind::kRssMog:
-      mode_ = Mode::kMog;
-      bank_a_ = {d.rss_mog, Metric::kLinear, false};
-      break;
-    case DetectorKind::kPhaseDiff:
-      mode_ = Mode::kDiff;
-      diff_phase_ = true;
-      diff_threshold_ = d.phase_diff_threshold_rad;
-      break;
-    case DetectorKind::kRssDiff:
-      mode_ = Mode::kDiff;
-      diff_phase_ = false;
-      diff_threshold_ = d.rss_diff_threshold_db;
-      break;
-    case DetectorKind::kHybridAnd:
-    case DetectorKind::kHybridOr:
-      mode_ = Mode::kHybrid;
-      hybrid_require_both_ =
-          config_.detector_kind == DetectorKind::kHybridAnd;
-      bank_a_ = {d.phase_mog, Metric::kCircular, true};
-      bank_b_ = {d.rss_mog, Metric::kLinear, false};
-      break;
-  }
-  if (mode_ != Mode::kDiff) {
-    // Validate mixture parameters up front with the exact checks (and
-    // exceptions) ImmobilityModel applies on construction.
-    (void)ImmobilityModel(bank_a_.config, bank_a_.metric);
-    if (mode_ == Mode::kHybrid) {
-      (void)ImmobilityModel(bank_b_.config, bank_b_.metric);
-    }
-  }
-}
-
-std::uint64_t ParallelAssessor::mog_key(std::uint8_t antenna,
-                                        std::uint32_t channel) const noexcept {
-  // Mirrors MogDetector::key_of under MogKeying.
-  const std::uint64_t a = keying_.per_antenna ? antenna : 0u;
-  const std::uint64_t c = keying_.per_channel ? channel : 0u;
-  return (a << 32) | c;
+  // Validate mixture parameters up front with the exact checks (and
+  // exceptions) ImmobilityModel applies on construction.
+  (void)ImmobilityModel(config_.immobility, Metric::kCircular);
 }
 
 void ParallelAssessor::begin_window() {
@@ -114,7 +68,6 @@ void ParallelAssessor::ingest(const rf::TagReading& reading) {
   p.channel = static_cast<std::uint32_t>(reading.channel);
   p.antenna = reading.antenna;
   p.phase_rad = reading.phase_rad;
-  p.rssi_dbm = reading.rssi_dbm;
   p.timestamp = reading.timestamp;
   shard.pending.push_back(p);
 }
@@ -132,94 +85,31 @@ void ParallelAssessor::flush() {
             [this](std::size_t s) { drain_shard(shards_[s]); });
 }
 
-ParallelAssessor::KeyedState& ParallelAssessor::keyed_insert(
-    TagSlot& slot, std::uint64_t key, bool& created) {
+ParallelAssessor::KeyedState& ParallelAssessor::keyed_state(
+    Shard& shard, TagSlot& slot, std::uint64_t key) {
   const auto it = std::lower_bound(
       slot.keyed.begin(), slot.keyed.end(), key,
       [](const KeyedState& state, std::uint64_t k) { return state.key < k; });
-  if (it != slot.keyed.end() && it->key == key) {
-    created = false;
-    return *it;
-  }
-  created = true;
+  if (it != slot.keyed.end() && it->key == key) return *it;
   KeyedState fresh;
   fresh.key = key;
+  fresh.block = allocate_block(shard.comps, shard.free_blocks,
+                               config_.immobility.max_components);
   return *slot.keyed.insert(it, fresh);
-}
-
-MotionVerdict ParallelAssessor::bank_observe(Shard& shard, KeyedState& state,
-                                             bool bank_b, double value) {
-  const BankSpec& spec = bank_b ? bank_b_ : bank_a_;
-  std::vector<GaussianComponent>& bank = bank_b ? shard.comps_b
-                                                : shard.comps_a;
-  std::vector<std::uint32_t>& free_list =
-      bank_b ? shard.free_blocks_b : shard.free_blocks_a;
-  std::uint32_t& block = bank_b ? state.block_b : state.block_a;
-  std::uint32_t& live = bank_b ? state.n_b : state.n_a;
-  if (block == KeyedState::kNoBlock) {
-    block = allocate_block(bank, free_list, spec.config.max_components);
-    live = 0;
-  }
-  // Take the pointer only after allocation: the resize above may move the
-  // bank's storage.
-  std::size_t n = live;
-  const MotionVerdict verdict =
-      mog_observe(bank.data() + block, n, spec.config, spec.metric, value);
-  live = static_cast<std::uint32_t>(n);
-  return verdict;
 }
 
 void ParallelAssessor::drain_shard(Shard& shard) {
   for (const PendingReading& p : shard.pending) {
     TagSlot& slot = shard.slots[p.slot];
-    MotionVerdict verdict = MotionVerdict::kMoving;
-    switch (mode_) {
-      case Mode::kMog: {
-        bool created = false;
-        KeyedState& state =
-            keyed_insert(slot, mog_key(p.antenna, p.channel), created);
-        const double value = bank_a_.use_phase ? p.phase_rad : p.rssi_dbm;
-        verdict = bank_observe(shard, state, false, value);
-        break;
-      }
-      case Mode::kDiff: {
-        // Diff keys per (antenna, channel) unconditionally, like
-        // DiffDetector.
-        const std::uint64_t key =
-            (static_cast<std::uint64_t>(p.antenna) << 32) | p.channel;
-        bool created = false;
-        KeyedState& state = keyed_insert(slot, key, created);
-        const double value = diff_phase_ ? p.phase_rad : p.rssi_dbm;
-        if (created) {
-          // First reading on a pair: no baseline yet — moving.
-          verdict = MotionVerdict::kMoving;
-        } else {
-          const double dist =
-              diff_phase_ ? util::circular_distance(value, state.last_value)
-                          : std::abs(value - state.last_value);
-          verdict = dist > diff_threshold_ ? MotionVerdict::kMoving
-                                           : MotionVerdict::kStationary;
-        }
-        state.last_value = value;
-        break;
-      }
-      case Mode::kHybrid: {
-        bool created = false;
-        KeyedState& state =
-            keyed_insert(slot, mog_key(p.antenna, p.channel), created);
-        const MotionVerdict phase =
-            bank_observe(shard, state, false, p.phase_rad);
-        const MotionVerdict rss = bank_observe(shard, state, true, p.rssi_dbm);
-        const bool moving =
-            hybrid_require_both_
-                ? (phase == MotionVerdict::kMoving &&
-                   rss == MotionVerdict::kMoving)
-                : (phase == MotionVerdict::kMoving ||
-                   rss == MotionVerdict::kMoving);
-        verdict = moving ? MotionVerdict::kMoving : MotionVerdict::kStationary;
-        break;
-      }
-    }
+    // Phase is only comparable within one (antenna, channel) pair.
+    const std::uint64_t key =
+        (static_cast<std::uint64_t>(p.antenna) << 32) | p.channel;
+    KeyedState& state = keyed_state(shard, slot, key);
+    std::size_t n = state.n;
+    const MotionVerdict verdict =
+        mog_observe(shard.comps.data() + state.block, n, config_.immobility,
+                    Metric::kCircular, p.phase_rad);
+    state.n = static_cast<std::uint32_t>(n);
     slot.last_seen = p.timestamp;
     if (window_open_) {
       if (slot.window_epoch != window_epoch_) {
@@ -237,12 +127,7 @@ void ParallelAssessor::drain_shard(Shard& shard) {
 void ParallelAssessor::evict(Shard& shard, std::uint32_t slot_index) {
   TagSlot& slot = shard.slots[slot_index];
   for (const KeyedState& state : slot.keyed) {
-    if (state.block_a != KeyedState::kNoBlock) {
-      shard.free_blocks_a.push_back(state.block_a);
-    }
-    if (state.block_b != KeyedState::kNoBlock) {
-      shard.free_blocks_b.push_back(state.block_b);
-    }
+    shard.free_blocks.push_back(state.block);
   }
   slot.keyed.clear();
   slot.live = false;

@@ -1,6 +1,11 @@
 // Phase I: per-tag motion assessment over inventory readings — the one
 // engine the controller and the fleet use.
 //
+// It runs the paper's run-time detector, Phase-MoG (§4): one immobility
+// model over RF phase per (antenna, channel) of each tag.  The §7.1
+// comparison detectors (RSS-MoG, the diff methods, fusion) live only in
+// core/detectors.* for the offline benches.
+//
 // Every reading (from either phase) trains its tag's immobility models;
 // readings inside an assessment window also vote, and assess() turns the
 // votes into the mobile-tag set handed to Phase II.  The §4.3 "reading
@@ -17,7 +22,7 @@
 //  * per-tag detector state depends only on that tag's own readings, so
 //    shards can drain concurrently (util::TaskPool fork/join) while each
 //    tag still sees exactly the per-reading update of the readable
-//    MotionDetector classes — both call the shared mog_* kernels of
+//    MogDetector — both call the shared mog_* kernels of
 //    core/immobility.hpp;
 //  * assess() merges shard results and sorts by EPC, so assessments (and
 //    everything derived from them: CycleReports, journal digests) are
@@ -26,7 +31,7 @@
 // State is dense per-slot storage — keyed states in a sorted vector,
 // Gaussian components in pooled fixed-capacity blocks per shard — so the
 // hot loop is allocation-free and mostly sequential.  The differential
-// tests compare it against a serial one-MotionDetector-per-tag oracle
+// tests compare it against a serial one-MogDetector-per-tag oracle
 // (tests/oracle); bench_phase1_scaling measures its thread scaling.
 #pragma once
 
@@ -34,7 +39,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/detectors.hpp"
+#include "core/immobility.hpp"
 #include "rf/measurement.hpp"
 #include "util/epc.hpp"
 #include "util/sim_time.hpp"
@@ -44,8 +49,8 @@ namespace tagwatch::core {
 
 /// Assessor tuning.
 struct AssessorConfig {
-  DetectorKind detector_kind = DetectorKind::kPhaseMog;
-  DetectorConfig detector = {};
+  /// Phase-MoG mixture parameters of every (antenna, channel) model.
+  ImmobilityConfig immobility = {};
   /// Tags unseen for longer than this are forgotten (models removed).
   util::SimDuration forget_after = util::sec(60);
   /// A tag is assessed mobile when at least this many of its readings in
@@ -104,29 +109,13 @@ class ParallelAssessor {
   const AssessorConfig& config() const noexcept { return config_; }
 
  private:
-  /// Which detector family the configured kind maps to.
-  enum class Mode { kMog, kDiff, kHybrid };
-
-  /// One mixture bank (phase or RSS scale).
-  struct BankSpec {
-    ImmobilityConfig config;
-    Metric metric = Metric::kCircular;
-    bool use_phase = true;
-  };
-
-  /// Per-(antenna, channel) detector state of one tag.  MoG kinds use
-  /// block_a (and block_b for hybrid) — indices of fixed-capacity
-  /// GaussianComponent blocks in the owning shard's pool; diff kinds use
-  /// last_value only.
+  /// Per-(antenna, channel) model of one tag: the index of its
+  /// fixed-capacity GaussianComponent block in the owning shard's pool,
+  /// and how many of the block's components are live.
   struct KeyedState {
     std::uint64_t key = 0;
-    std::uint32_t block_a = kNoBlock;
-    std::uint32_t block_b = kNoBlock;
-    std::uint32_t n_a = 0;
-    std::uint32_t n_b = 0;
-    double last_value = 0.0;
-
-    static constexpr std::uint32_t kNoBlock = 0xffffffffu;
+    std::uint32_t block = 0;
+    std::uint32_t n = 0;
   };
 
   /// Dense per-tag state: window vote counters plus one KeyedState per
@@ -147,7 +136,6 @@ class ParallelAssessor {
     std::uint32_t channel = 0;
     std::uint8_t antenna = 0;
     double phase_rad = 0.0;
-    double rssi_dbm = 0.0;
     util::SimTime timestamp{0};
   };
 
@@ -157,10 +145,9 @@ class ParallelAssessor {
   struct Shard {
     std::vector<TagSlot> slots;
     std::vector<PendingReading> pending;
-    std::vector<GaussianComponent> comps_a;  ///< Blocks of bank_a_ capacity.
-    std::vector<GaussianComponent> comps_b;  ///< Blocks of bank_b_ capacity.
-    std::vector<std::uint32_t> free_blocks_a;
-    std::vector<std::uint32_t> free_blocks_b;
+    /// Blocks of immobility.max_components components each.
+    std::vector<GaussianComponent> comps;
+    std::vector<std::uint32_t> free_blocks;
     std::vector<std::uint32_t> free_slots;
   };
 
@@ -170,22 +157,13 @@ class ParallelAssessor {
     std::uint32_t slot = 0;
   };
 
-  std::uint64_t mog_key(std::uint8_t antenna,
-                        std::uint32_t channel) const noexcept;
   void drain_shard(Shard& shard);
-  KeyedState& keyed_insert(TagSlot& slot, std::uint64_t key, bool& created);
-  MotionVerdict bank_observe(Shard& shard, KeyedState& state, bool bank_b,
-                             double value);
+  /// The slot's model for `key`, created with a fresh component block on
+  /// first use.
+  KeyedState& keyed_state(Shard& shard, TagSlot& slot, std::uint64_t key);
   void evict(Shard& shard, std::uint32_t slot_index);
 
   AssessorConfig config_;
-  Mode mode_ = Mode::kMog;
-  BankSpec bank_a_;
-  BankSpec bank_b_;
-  MogKeying keying_;
-  bool diff_phase_ = true;
-  double diff_threshold_ = 0.0;
-  bool hybrid_require_both_ = false;
 
   util::TaskPool pool_;
   std::vector<Shard> shards_;

@@ -44,9 +44,6 @@ struct ResilienceConfig {
   /// time (retries and backoff included), Phase II stops scheduling more
   /// work and the cycle ends.  Zero disables the watchdog.
   util::SimDuration cycle_watchdog_budget{0};
-  /// Deliver the partial readings an errored execute salvaged (they are
-  /// real reads; dropping them only starves the assessor).
-  bool salvage_partial_reports = true;
 };
 
 /// Fleet-level view of one reader's availability (core::FleetHealth).

@@ -129,8 +129,9 @@ llrp::ExecutionResult TagwatchController::execute_resilient(
     health_.count_fault(err.kind);
     ++report.execute_failures;
 
-    if (config_.resilience.salvage_partial_reports &&
-        !result.report.readings.empty()) {
+    // The readings an errored execute did deliver are real reads:
+    // dropping them would only starve the assessor.
+    if (!result.report.readings.empty()) {
       ++health_.partial_salvages;
       health_.salvaged_readings += result.report.readings.size();
       report.salvaged_readings += result.report.readings.size();

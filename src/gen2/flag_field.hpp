@@ -52,9 +52,6 @@ class TagFlagField {
   /// nullptr if the field has never covered it.  Syncs first.
   const TagFlags* find(const sim::World& world, const util::Epc& epc);
 
-  /// Number of departed-tag stash entries (diagnostics/tests).
-  std::size_t departed_count() const noexcept { return departed_.size(); }
-
   /// Census: how many present tags read B on `session` at `now` (decay
   /// applied).  B tags are invisible to target-A queries until re-armed or
   /// decayed — the quantity zone takeover's session-aware re-inventory

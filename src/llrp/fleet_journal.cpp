@@ -4,77 +4,21 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "llrp/journal_codec.hpp"
 #include "util/bitstring.hpp"
 
 namespace tagwatch::llrp {
 
 namespace {
 
+using journal_codec::sanitize_field;
+
 constexpr const char* kHeader = "# tagwatch-fleet-journal v1";
-
-/// Splits one CSV line into fields (no quoting: fields never contain ',').
-std::vector<std::string> split_fields(std::string_view line) {
-  std::vector<std::string> fields;
-  std::size_t pos = 0;
-  while (pos <= line.size()) {
-    const std::size_t comma = line.find(',', pos);
-    if (comma == std::string_view::npos) {
-      fields.emplace_back(line.substr(pos));
-      break;
-    }
-    fields.emplace_back(line.substr(pos, comma - pos));
-    pos = comma + 1;
-  }
-  return fields;
-}
-
-[[noreturn]] void fail(std::size_t line_no, const std::string& what) {
-  throw std::invalid_argument("FleetJournal: line " + std::to_string(line_no) +
-                              ": " + what);
-}
-
-std::int64_t parse_int(const std::string& s, std::size_t line_no) {
-  try {
-    std::size_t used = 0;
-    const std::int64_t v = std::stoll(s, &used);
-    if (used != s.size()) fail(line_no, "trailing garbage in '" + s + "'");
-    return v;
-  } catch (const std::invalid_argument&) {
-    fail(line_no, "expected integer, got '" + s + "'");
-  } catch (const std::out_of_range&) {
-    fail(line_no, "integer out of range: '" + s + "'");
-  }
-}
-
-/// A std::size_t field.  Negative input is rejected rather than cast: it
-/// would wrap to 2^64-k, and to_csv(from_csv(x)) would no longer equal x.
-std::size_t parse_count(const std::string& s, std::size_t line_no) {
-  const std::int64_t v = parse_int(s, line_no);
-  if (v < 0) fail(line_no, "expected non-negative count, got '" + s + "'");
-  return static_cast<std::size_t>(v);
-}
-
-std::uint64_t fnv1a(std::string_view bytes) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a 64-bit offset basis.
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-/// CSV fields never contain ',' or '\n'; free-form text is flattened.
-std::string sanitize_field(std::string s) {
-  for (char& c : s) {
-    if (c == ',' || c == '\n' || c == '\r') c = ';';
-  }
-  return s;
-}
 
 }  // namespace
 
 std::uint64_t fleet_journal_digest(const FleetJournal& journal) {
-  return fnv1a(journal.to_csv());
+  return journal_codec::fnv1a(journal.to_csv());
 }
 
 std::string FleetJournal::to_csv() const {
@@ -127,75 +71,80 @@ FleetJournal FleetJournal::from_csv(std::string_view csv) {
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty()) continue;
+    const journal_codec::LineParser p("FleetJournal", line_no);
     if (line_no == 1) {
-      if (line != kHeader) fail(line_no, "missing journal header");
+      if (line != kHeader) p.fail("missing journal header");
       continue;
     }
-    const std::vector<std::string> f = split_fields(line);
+    const std::vector<std::string> f = journal_codec::split_fields(line);
     if (f[0] == "S") {
-      if (f.size() != 5) fail(line_no, "setup line needs 5 fields");
-      if (saw_setup) fail(line_no, "duplicate setup line");
-      journal.setup.readers = parse_count(f[1], line_no);
-      journal.setup.policy = f[2];
+      if (f.size() != 5) p.fail("setup line needs 5 fields");
+      if (saw_setup) p.fail("duplicate setup line");
+      journal.setup.readers = p.count(f[1]);
+      journal.setup.policy = p.text(f[2]);
       try {
         journal.setup.session = gen2::session_from_string(f[3]);
       } catch (const std::invalid_argument& e) {
-        fail(line_no, e.what());
+        p.fail(e.what());
       }
-      journal.setup.dedup_window = util::SimDuration(parse_int(f[4], line_no));
+      if (f[3] != gen2::to_string(journal.setup.session)) {
+        p.fail("expected session S0..S3, got '" + f[3] + "'");
+      }
+      journal.setup.dedup_window = util::SimDuration(p.integer(f[4]));
       saw_setup = true;
     } else if (f[0] == "F") {
-      if (f.size() != 8) fail(line_no, "cycle line needs 8 fields");
+      if (f.size() != 8) p.fail("cycle line needs 8 fields");
       FleetCycleRecord c;
-      c.cycle = parse_count(f[1], line_no);
-      c.reader = parse_count(f[2], line_no);
-      c.zone = f[3];
-      c.phase1_readings = parse_count(f[4], line_no);
-      c.phase2_readings = parse_count(f[5], line_no);
-      c.delivered = parse_count(f[6], line_no);
-      c.duplicates = parse_count(f[7], line_no);
+      c.cycle = p.count(f[1]);
+      c.reader = p.count(f[2]);
+      c.zone = p.text(f[3]);
+      c.phase1_readings = p.count(f[4]);
+      c.phase2_readings = p.count(f[5]);
+      c.delivered = p.count(f[6]);
+      c.duplicates = p.count(f[7]);
       journal.push_cycle(std::move(c));
     } else if (f[0] == "H") {
-      if (f.size() != 5) fail(line_no, "handoff line needs 5 fields");
+      if (f.size() != 5) p.fail("handoff line needs 5 fields");
       FleetHandoffRecord h;
       try {
         h.epc = util::Epc(util::BitString::from_binary(f[1]));
       } catch (const std::invalid_argument& e) {
-        fail(line_no, e.what());
+        p.fail(e.what());
       }
-      h.from_reader = parse_count(f[2], line_no);
-      h.to_reader = parse_count(f[3], line_no);
-      h.at = util::SimTime(parse_int(f[4], line_no));
+      h.from_reader = p.count(f[2]);
+      h.to_reader = p.count(f[3]);
+      h.at = util::SimTime(p.integer(f[4]));
       journal.push_handoff(std::move(h));
     } else if (f[0] == "D") {
-      if (f.size() != 5) fail(line_no, "down line needs 5 fields");
+      if (f.size() != 5) p.fail("down line needs 5 fields");
       FleetDownRecord d;
-      d.cycle = parse_count(f[1], line_no);
-      d.reader = parse_count(f[2], line_no);
-      d.zone = f[3];
-      d.consecutive_failures = parse_count(f[4], line_no);
+      d.cycle = p.count(f[1]);
+      d.reader = p.count(f[2]);
+      d.zone = p.text(f[3]);
+      d.consecutive_failures = p.count(f[4]);
       journal.push_down(std::move(d));
     } else if (f[0] == "T") {
-      if (f.size() != 5) fail(line_no, "takeover line needs 5 fields");
+      if (f.size() != 5) p.fail("takeover line needs 5 fields");
       FleetTakeoverRecord t;
-      t.cycle = parse_count(f[1], line_no);
-      t.from_reader = parse_count(f[2], line_no);
-      t.to_reader = parse_count(f[3], line_no);
-      t.radius_mm = parse_int(f[4], line_no);
+      t.cycle = p.count(f[1]);
+      t.from_reader = p.count(f[2]);
+      t.to_reader = p.count(f[3]);
+      t.radius_mm = p.integer(f[4]);
       journal.push_takeover(t);
     } else if (f[0] == "R") {
-      if (f.size() != 4) fail(line_no, "recover line needs 4 fields");
+      if (f.size() != 4) p.fail("recover line needs 4 fields");
       FleetRecoverRecord r;
-      r.cycle = parse_count(f[1], line_no);
-      r.reader = parse_count(f[2], line_no);
-      r.down_for_cycles = parse_count(f[3], line_no);
+      r.cycle = p.count(f[1]);
+      r.reader = p.count(f[2]);
+      r.down_for_cycles = p.count(f[3]);
       journal.push_recover(r);
     } else {
-      fail(line_no, "unknown record kind '" + f[0] + "'");
+      p.fail("unknown record kind '" + f[0] + "'");
     }
   }
   if (!saw_setup && !journal.entries_.empty()) {
-    fail(line_no, "journal has records but no setup line");
+    journal_codec::LineParser("FleetJournal", line_no)
+        .fail("journal has records but no setup line");
   }
   return journal;
 }

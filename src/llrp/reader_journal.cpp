@@ -1,98 +1,23 @@
 #include "llrp/reader_journal.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
 
+#include "llrp/journal_codec.hpp"
 #include "llrp/rospec_xml.hpp"
 
 namespace tagwatch::llrp {
 
 namespace {
 
+using journal_codec::format_double;
+using journal_codec::fnv1a;
+using journal_codec::sanitize_field;
+
 constexpr const char* kHeader = "# tagwatch-reader-journal v1";
-
-std::string format_double(double v) {
-  char buf[64];
-  // %.17g round-trips every IEEE-754 double exactly.
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-/// Splits one CSV line into fields (no quoting: fields never contain ',').
-std::vector<std::string> split_fields(std::string_view line) {
-  std::vector<std::string> fields;
-  std::size_t pos = 0;
-  while (pos <= line.size()) {
-    const std::size_t comma = line.find(',', pos);
-    if (comma == std::string_view::npos) {
-      fields.emplace_back(line.substr(pos));
-      break;
-    }
-    fields.emplace_back(line.substr(pos, comma - pos));
-    pos = comma + 1;
-  }
-  return fields;
-}
-
-[[noreturn]] void fail(std::size_t line_no, const std::string& what) {
-  throw std::invalid_argument("ReaderJournal: line " +
-                              std::to_string(line_no) + ": " + what);
-}
-
-std::int64_t parse_int(const std::string& s, std::size_t line_no) {
-  try {
-    std::size_t used = 0;
-    const std::int64_t v = std::stoll(s, &used);
-    if (used != s.size()) fail(line_no, "trailing garbage in '" + s + "'");
-    return v;
-  } catch (const std::invalid_argument&) {
-    fail(line_no, "expected integer, got '" + s + "'");
-  } catch (const std::out_of_range&) {
-    fail(line_no, "integer out of range: '" + s + "'");
-  }
-}
-
-/// A std::size_t field.  Negative input is rejected rather than cast: it
-/// would wrap to 2^64-k, and to_csv(from_csv(x)) would no longer equal x.
-std::size_t parse_count(const std::string& s, std::size_t line_no) {
-  const std::int64_t v = parse_int(s, line_no);
-  if (v < 0) fail(line_no, "expected non-negative count, got '" + s + "'");
-  return static_cast<std::size_t>(v);
-}
-
-std::uint64_t parse_hex64(const std::string& s, std::size_t line_no) {
-  if (s.empty()) fail(line_no, "empty digest");
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(s.c_str(), &end, 16);
-  if (end != s.c_str() + s.size()) fail(line_no, "bad digest '" + s + "'");
-  return v;
-}
-
-double parse_double(const std::string& s, std::size_t line_no) {
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (s.empty() || end != s.c_str() + s.size()) {
-    fail(line_no, "expected number, got '" + s + "'");
-  }
-  return v;
-}
-
-}  // namespace
-
-namespace {
-
-std::uint64_t fnv1a(std::string_view bytes) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a 64-bit offset basis.
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 }  // namespace
 
@@ -101,18 +26,6 @@ std::uint64_t rospec_digest(const ROSpec& spec) { return fnv1a(to_xml(spec)); }
 std::uint64_t journal_digest(const ReaderJournal& journal) {
   return fnv1a(journal.to_csv());
 }
-
-namespace {
-
-/// CSV fields never contain ',' or '\n'; free-form text is flattened.
-std::string sanitize_field(std::string s) {
-  for (char& c : s) {
-    if (c == ',' || c == '\n' || c == '\r') c = ';';
-  }
-  return s;
-}
-
-}  // namespace
 
 std::string ReaderJournal::to_csv() const {
   std::ostringstream out;
@@ -161,89 +74,91 @@ ReaderJournal ReaderJournal::from_csv(std::string_view csv) {
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty()) continue;
+    const journal_codec::LineParser p("ReaderJournal", line_no);
     if (line_no == 1) {
-      if (line != kHeader) fail(line_no, "missing journal header");
+      if (line != kHeader) p.fail("missing journal header");
       continue;
     }
-    const std::vector<std::string> f = split_fields(line);
+    const std::vector<std::string> f = journal_codec::split_fields(line);
     if (f[0] == "C") {
-      if (f.size() != 6) fail(line_no, "capabilities line needs 6 fields");
-      journal.capabilities.model = f[1];
-      journal.capabilities.antenna_count = parse_count(f[2], line_no);
-      journal.capabilities.channel_count = parse_count(f[3], line_no);
-      journal.capabilities.supports_truncation = parse_int(f[4], line_no) != 0;
-      journal.capabilities.live = parse_int(f[5], line_no) != 0;
+      if (f.size() != 6) p.fail("capabilities line needs 6 fields");
+      journal.capabilities.model = p.text(f[1]);
+      journal.capabilities.antenna_count = p.count(f[2]);
+      journal.capabilities.channel_count = p.count(f[3]);
+      journal.capabilities.supports_truncation = p.flag(f[4]);
+      journal.capabilities.live = p.flag(f[5]);
     } else if (f[0] == "A") {
-      if (pending_readings != 0) fail(line_no, "readings still pending");
-      if (f.size() != 2) fail(line_no, "advance line needs 2 fields");
+      if (pending_readings != 0) p.fail("readings still pending");
+      if (f.size() != 2) p.fail("advance line needs 2 fields");
       JournalEntry e;
       e.kind = JournalEntry::Kind::kAdvance;
-      e.advance = util::SimDuration(parse_int(f[1], line_no));
+      e.advance = util::SimDuration(p.integer(f[1]));
       journal.push(std::move(e));
     } else if (f[0] == "E") {
-      if (pending_readings != 0) fail(line_no, "readings still pending");
-      if (f.size() != 12) fail(line_no, "execute line needs 12 fields");
+      if (pending_readings != 0) p.fail("readings still pending");
+      if (f.size() != 12) p.fail("execute line needs 12 fields");
       JournalEntry e;
       e.kind = JournalEntry::Kind::kExecute;
-      e.digest = parse_hex64(f[1], line_no);
-      e.start = util::SimTime(parse_int(f[2], line_no));
-      e.report.duration = util::SimDuration(parse_int(f[3], line_no));
-      e.report.rounds = parse_count(f[4], line_no);
+      e.digest = p.digest(f[1]);
+      e.start = util::SimTime(p.integer(f[2]));
+      e.report.duration = util::SimDuration(p.integer(f[3]));
+      e.report.rounds = p.count(f[4]);
       gen2::RoundStats& st = e.report.slot_totals;
-      st.slots = parse_count(f[5], line_no);
-      st.empty_slots = parse_count(f[6], line_no);
-      st.collision_slots = parse_count(f[7], line_no);
-      st.success_slots = parse_count(f[8], line_no);
-      st.lost_slots = parse_count(f[9], line_no);
-      st.duration = util::SimDuration(parse_int(f[10], line_no));
+      st.slots = p.count(f[5]);
+      st.empty_slots = p.count(f[6]);
+      st.collision_slots = p.count(f[7]);
+      st.success_slots = p.count(f[8]);
+      st.lost_slots = p.count(f[9]);
+      st.duration = util::SimDuration(p.integer(f[10]));
       // No reserve(): the declared count is untrusted until its readings
       // are actually parsed.
-      pending_readings = parse_count(f[11], line_no);
+      pending_readings = p.count(f[11]);
       journal.push(std::move(e));
     } else if (f[0] == "X") {
       if (journal.entries_.empty() ||
           journal.entries_.back().kind != JournalEntry::Kind::kExecute) {
-        fail(line_no, "error record without a preceding execute");
+        p.fail("error record without a preceding execute");
       }
       if (journal.entries_.back().error) {
-        fail(line_no, "duplicate error record for one execute");
+        p.fail("duplicate error record for one execute");
       }
-      if (f.size() != 4) fail(line_no, "error line needs 4 fields");
+      if (f.size() != 4) p.fail("error line needs 4 fields");
       ReaderError err;
       try {
         err.kind = reader_error_kind_from_string(f[1]);
       } catch (const std::invalid_argument& e) {
-        fail(line_no, e.what());
+        p.fail(e.what());
       }
-      err.antenna = parse_count(f[2], line_no);
-      err.message = f[3];
+      err.antenna = p.count(f[2]);
+      err.message = p.text(f[3]);
       journal.entries_.back().error = std::move(err);
     } else if (f[0] == "R") {
-      if (pending_readings == 0) fail(line_no, "unexpected reading line");
-      if (f.size() != 7) fail(line_no, "reading line needs 7 fields");
+      if (pending_readings == 0) p.fail("unexpected reading line");
+      if (f.size() != 7) p.fail("reading line needs 7 fields");
       rf::TagReading r;
       try {
         r.epc = util::Epc(util::BitString::from_binary(f[1]));
       } catch (const std::invalid_argument& e) {
-        fail(line_no, e.what());
+        p.fail(e.what());
       }
-      const std::size_t antenna = parse_count(f[2], line_no);
+      const std::size_t antenna = p.count(f[2]);
       if (antenna > std::numeric_limits<rf::AntennaId>::max()) {
-        fail(line_no, "antenna out of range: '" + f[2] + "'");
+        p.fail("antenna out of range: '" + f[2] + "'");
       }
       r.antenna = static_cast<rf::AntennaId>(antenna);
-      r.channel = parse_count(f[3], line_no);
-      r.phase_rad = parse_double(f[4], line_no);
-      r.rssi_dbm = parse_double(f[5], line_no);
-      r.timestamp = util::SimTime(parse_int(f[6], line_no));
+      r.channel = p.count(f[3]);
+      r.phase_rad = p.number(f[4]);
+      r.rssi_dbm = p.number(f[5]);
+      r.timestamp = util::SimTime(p.integer(f[6]));
       journal.entries_.back().report.readings.push_back(std::move(r));
       --pending_readings;
     } else {
-      fail(line_no, "unknown record kind '" + f[0] + "'");
+      p.fail("unknown record kind '" + f[0] + "'");
     }
   }
   if (pending_readings != 0) {
-    fail(line_no, "journal truncated mid-entry");
+    journal_codec::LineParser("ReaderJournal", line_no)
+        .fail("journal truncated mid-entry");
   }
   return journal;
 }

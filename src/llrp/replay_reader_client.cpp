@@ -15,8 +15,8 @@ namespace {
 
 }  // namespace
 
-ReplayReaderClient::ReplayReaderClient(ReaderJournal journal, bool strict)
-    : journal_(std::move(journal)), strict_(strict) {
+ReplayReaderClient::ReplayReaderClient(ReaderJournal journal)
+    : journal_(std::move(journal)) {
   // Start the clock where the recording did (first execute's start time).
   for (const JournalEntry& e : journal_.entries()) {
     if (e.kind == JournalEntry::Kind::kExecute) {
@@ -41,31 +41,19 @@ const JournalEntry& ReplayReaderClient::take(JournalEntry::Kind expected) {
 }
 
 ExecutionResult ReplayReaderClient::execute(const ROSpec& spec) {
-  // Non-strict replay tolerates interleaved advances it didn't expect by
-  // skipping to the next recorded execute.
-  if (!strict_) {
-    while (cursor_ < journal_.size() &&
-           journal_.entries()[cursor_].kind == JournalEntry::Kind::kAdvance) {
-      now_ += journal_.entries()[cursor_].advance;
-      ++cursor_;
-    }
-  }
   const std::size_t rospec_index = execute_count_++;
   const JournalEntry& entry = take(JournalEntry::Kind::kExecute);
-  if (strict_) {
-    const std::uint64_t digest = rospec_digest(spec);
-    if (digest != entry.digest) {
-      char digests[64];
-      std::snprintf(digests, sizeof(digests),
-                    "issued %016llx, recorded %016llx",
-                    static_cast<unsigned long long>(digest),
-                    static_cast<unsigned long long>(entry.digest));
-      diverged(cursor_ - 1,
-               "ROSpec #" + std::to_string(rospec_index) +
-                   " diverges from the recorded operation (" + digests +
-                   ") — the controller under replay is making different "
-                   "scheduling decisions than the recorded one");
-    }
+  const std::uint64_t digest = rospec_digest(spec);
+  if (digest != entry.digest) {
+    char digests[64];
+    std::snprintf(digests, sizeof(digests), "issued %016llx, recorded %016llx",
+                  static_cast<unsigned long long>(digest),
+                  static_cast<unsigned long long>(entry.digest));
+    diverged(cursor_ - 1,
+             "ROSpec #" + std::to_string(rospec_index) +
+                 " diverges from the recorded operation (" + digests +
+                 ") — the controller under replay is making different "
+                 "scheduling decisions than the recorded one");
   }
   now_ = entry.start + entry.report.duration;
   if (listener_) {
@@ -81,16 +69,8 @@ ReaderCapabilities ReplayReaderClient::capabilities() const {
   return caps;
 }
 
-void ReplayReaderClient::advance(util::SimDuration d) {
-  if (cursor_ < journal_.size() &&
-      journal_.entries()[cursor_].kind == JournalEntry::Kind::kAdvance) {
-    now_ += journal_.entries()[cursor_].advance;
-    ++cursor_;
-    return;
-  }
-  if (strict_) take(JournalEntry::Kind::kAdvance);  // Throws with context.
-  // Non-strict with no recorded advance: stay on the journal's timeline.
-  (void)d;
+void ReplayReaderClient::advance(util::SimDuration /*d*/) {
+  now_ += take(JournalEntry::Kind::kAdvance).advance;
 }
 
 }  // namespace tagwatch::llrp

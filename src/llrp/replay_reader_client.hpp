@@ -1,8 +1,8 @@
 // ReplayReaderClient: replays a ReaderJournal deterministically.
 //
 // No simulator, no hardware: each execute() call pops the next recorded
-// operation, verifies the issued ROSpec matches the recorded one (strict
-// mode), streams the recorded readings to the listener, and moves the clock
+// operation, verifies the issued ROSpec matches the recorded one, streams
+// the recorded readings to the listener, and moves the clock
 // to the recorded end time.  advance() likewise consumes the recorded
 // charge, *ignoring* the caller-supplied amount — host compute time varies
 // run to run, and pinning the clock to the journal is what makes a replayed
@@ -17,11 +17,11 @@ namespace tagwatch::llrp {
 /// Replays a recorded reader session.
 class ReplayReaderClient final : public ReaderClient {
  public:
-  /// `strict`: throw std::runtime_error when the controller under replay
-  /// issues an operation that diverges from the journal (different ROSpec
-  /// digest, execute where an advance was recorded, or running past the
-  /// end).  Non-strict replay skips the checks it can and keeps going.
-  explicit ReplayReaderClient(ReaderJournal journal, bool strict = true);
+  /// Replay is strict: execute() and advance() throw std::runtime_error
+  /// when the controller under replay diverges from the journal (different
+  /// ROSpec digest, execute where an advance was recorded, or running past
+  /// the end).
+  explicit ReplayReaderClient(ReaderJournal journal);
 
   /// Returns the recorded result — recorded transport errors replay too,
   /// so a controller's retry/degradation decisions reproduce exactly.
@@ -33,8 +33,7 @@ class ReplayReaderClient final : public ReaderClient {
   ReaderCapabilities capabilities() const override;
 
   /// Consumes the recorded advance (the argument is intentionally unused —
-  /// see file comment).  Strict replay requires the next recorded
-  /// operation to be an advance.
+  /// see file comment).  The next recorded operation must be an advance.
   void advance(util::SimDuration d) override;
 
   /// Journal entries not yet replayed.
@@ -49,7 +48,6 @@ class ReplayReaderClient final : public ReaderClient {
   std::size_t cursor_ = 0;
   std::size_t execute_count_ = 0;  ///< ROSpec index for divergence messages.
   util::SimTime now_{0};
-  bool strict_;
   gen2::ReadCallback listener_;
 };
 

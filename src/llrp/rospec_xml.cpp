@@ -1,15 +1,10 @@
 #include "llrp/rospec_xml.hpp"
 
-#include <cctype>
-#include <map>
 #include <sstream>
-#include <stdexcept>
 
 namespace tagwatch::llrp {
 
 namespace {
-
-// ---------------------------------------------------------------- writing
 
 void write_filter(std::ostringstream& out, const C1G2Filter& f) {
   out << "    <C1G2Filter bank=\"" << static_cast<int>(f.bank)
@@ -48,175 +43,6 @@ void write_aispec(std::ostringstream& out, const AISpec& spec) {
   out << "  </AISpec>\n";
 }
 
-// ----------------------------------------------------------------- parsing
-
-/// Minimal XML node for the ROSpec dialect: no namespaces, no CDATA.
-struct XmlNode {
-  std::string name;
-  std::map<std::string, std::string> attrs;
-  std::vector<XmlNode> children;
-  std::string text;
-};
-
-class XmlParser {
- public:
-  explicit XmlParser(std::string_view src) : src_(src) {}
-
-  XmlNode parse_document() {
-    skip_ws();
-    XmlNode root = parse_element();
-    skip_ws();
-    if (pos_ != src_.size()) fail("trailing content after root element");
-    return root;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::invalid_argument("ROSpec XML: " + what + " (at offset " +
-                                std::to_string(pos_) + ")");
-  }
-
-  char peek() const { return pos_ < src_.size() ? src_[pos_] : '\0'; }
-  char take() {
-    if (pos_ >= src_.size()) fail("unexpected end of input");
-    return src_[pos_++];
-  }
-  void expect(char c) {
-    if (take() != c) fail(std::string("expected '") + c + "'");
-  }
-  void skip_ws() {
-    while (pos_ < src_.size() &&
-           std::isspace(static_cast<unsigned char>(src_[pos_]))) {
-      ++pos_;
-    }
-  }
-  std::string parse_name() {
-    std::string name;
-    while (pos_ < src_.size() &&
-           (std::isalnum(static_cast<unsigned char>(peek())) ||
-            peek() == '_')) {
-      name += take();
-    }
-    if (name.empty()) fail("expected a name");
-    return name;
-  }
-
-  XmlNode parse_element() {
-    expect('<');
-    XmlNode node;
-    node.name = parse_name();
-    // Attributes.
-    for (;;) {
-      skip_ws();
-      if (peek() == '/' || peek() == '>') break;
-      const std::string key = parse_name();
-      skip_ws();
-      expect('=');
-      skip_ws();
-      expect('"');
-      std::string value;
-      while (peek() != '"') value += take();
-      expect('"');
-      node.attrs.emplace(key, value);
-    }
-    if (peek() == '/') {  // self-closing
-      take();
-      expect('>');
-      return node;
-    }
-    expect('>');
-    // Content: child elements and/or text.
-    for (;;) {
-      skip_ws();
-      if (pos_ >= src_.size()) fail("unterminated element " + node.name);
-      if (peek() == '<') {
-        if (pos_ + 1 < src_.size() && src_[pos_ + 1] == '/') {
-          take();  // '<'
-          take();  // '/'
-          const std::string closing = parse_name();
-          if (closing != node.name) fail("mismatched closing tag " + closing);
-          skip_ws();
-          expect('>');
-          return node;
-        }
-        node.children.push_back(parse_element());
-      } else {
-        while (peek() != '<' && pos_ < src_.size()) node.text += take();
-        // Trim trailing whitespace from text content.
-        while (!node.text.empty() &&
-               std::isspace(static_cast<unsigned char>(node.text.back()))) {
-          node.text.pop_back();
-        }
-      }
-    }
-  }
-
-  std::string_view src_;
-  std::size_t pos_ = 0;
-};
-
-const XmlNode* find_child(const XmlNode& node, std::string_view name) {
-  for (const auto& c : node.children) {
-    if (c.name == name) return &c;
-  }
-  return nullptr;
-}
-
-std::string attr_or(const XmlNode& node, const std::string& key,
-                    std::string fallback) {
-  const auto it = node.attrs.find(key);
-  return it == node.attrs.end() ? std::move(fallback) : it->second;
-}
-
-C1G2Filter parse_filter(const XmlNode& node) {
-  C1G2Filter f;
-  f.bank = static_cast<gen2::MemBank>(std::stoi(attr_or(node, "bank", "1")));
-  f.pointer =
-      static_cast<std::uint32_t>(std::stoul(attr_or(node, "pointer", "0")));
-  f.truncate = attr_or(node, "truncate", "0") == "1";
-  const XmlNode* mask = find_child(node, "Mask");
-  if (!mask) {
-    throw std::invalid_argument("ROSpec XML: C1G2Filter missing <Mask>");
-  }
-  f.mask = util::BitString::from_binary(mask->text);
-  return f;
-}
-
-AISpec parse_aispec(const XmlNode& node) {
-  AISpec spec;
-  spec.session =
-      static_cast<gen2::Session>(std::stoi(attr_or(node, "session", "1")));
-  spec.initial_q =
-      static_cast<std::uint8_t>(std::stoi(attr_or(node, "initialQ", "4")));
-  spec.target = gen2::inv_flag_from_string(attr_or(node, "target", "A"));
-  spec.rearm_session = attr_or(node, "rearm", "1") != "0";
-  if (const XmlNode* ants = find_child(node, "Antennas");
-      ants && !ants->text.empty()) {
-    std::stringstream ss(ants->text);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-      spec.antenna_indexes.push_back(std::stoul(item));
-    }
-  }
-  for (const auto& child : node.children) {
-    if (child.name == "C1G2Filter") spec.filters.push_back(parse_filter(child));
-  }
-  if (const XmlNode* stop = find_child(node, "StopTrigger")) {
-    const std::string kind = attr_or(*stop, "kind", "rounds");
-    if (kind == "duration") {
-      spec.stop = AiSpecStopTrigger::after_duration(
-          util::from_seconds(std::stod(attr_or(*stop, "ms", "0")) / 1000.0));
-    } else if (kind == "rounds") {
-      spec.stop = AiSpecStopTrigger::after_rounds(
-          std::stoul(attr_or(*stop, "rounds", "1")));
-    } else {
-      throw std::invalid_argument("ROSpec XML: unknown StopTrigger kind " +
-                                  kind);
-    }
-  }
-  return spec;
-}
-
 }  // namespace
 
 std::string to_xml(const ROSpec& spec) {
@@ -227,23 +53,6 @@ std::string to_xml(const ROSpec& spec) {
   for (const auto& ai : spec.ai_specs) write_aispec(out, ai);
   out << "</ROSpec>\n";
   return out.str();
-}
-
-ROSpec rospec_from_xml(std::string_view xml) {
-  XmlParser parser(xml);
-  const XmlNode root = parser.parse_document();
-  if (root.name != "ROSpec") {
-    throw std::invalid_argument("ROSpec XML: root element must be <ROSpec>");
-  }
-  ROSpec spec;
-  spec.id = static_cast<std::uint32_t>(std::stoul(attr_or(root, "id", "1")));
-  spec.priority =
-      static_cast<std::uint8_t>(std::stoi(attr_or(root, "priority", "0")));
-  spec.loops = std::stoul(attr_or(root, "loops", "1"));
-  for (const auto& child : root.children) {
-    if (child.name == "AISpec") spec.ai_specs.push_back(parse_aispec(child));
-  }
-  return spec;
 }
 
 }  // namespace tagwatch::llrp

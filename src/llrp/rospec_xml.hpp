@@ -1,9 +1,11 @@
-// XML serialization of ROSpecs.
+// XML export of ROSpecs.
 //
 // LLRP tooling (the LTK the paper uses) configures readers with ROSpec XML
-// documents (paper Fig. 11).  This supports saving/loading schedules and
-// inspecting what Tagwatch sends to the reader.  The dialect is a compact
-// element-per-field subset, e.g.:
+// documents (paper Fig. 11).  This writes what Tagwatch sends to the
+// reader, for inspection and export; nothing reads it back.  Its exact
+// bytes are also the input of rospec_digest(), so every journal digest
+// depends on this formatting.  The dialect is a compact element-per-field
+// subset, e.g.:
 //
 //   <ROSpec id="1" priority="0" loops="1">
 //     <AISpec session="1" initialQ="4">
@@ -22,11 +24,7 @@
 
 namespace tagwatch::llrp {
 
-/// Renders a ROSpec as XML (stable formatting, round-trips with parse).
+/// Renders a ROSpec as XML (stable formatting).
 std::string to_xml(const ROSpec& spec);
-
-/// Parses XML produced by to_xml (or hand-written in the same dialect).
-/// Throws std::invalid_argument with a line-context message on bad input.
-ROSpec rospec_from_xml(std::string_view xml);
 
 }  // namespace tagwatch::llrp

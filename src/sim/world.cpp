@@ -23,27 +23,6 @@ void World::add_reflector(SimReflector reflector) {
   reflectors_.push_back(std::move(reflector));
 }
 
-std::size_t World::add_zone(Zone zone) {
-  if (zone.radius_m <= 0.0) {
-    throw std::invalid_argument("World::add_zone: non-positive radius");
-  }
-  for (const Zone& z : zones_) {
-    if (z.name == zone.name) {
-      throw std::invalid_argument("World::add_zone: duplicate zone " +
-                                  zone.name);
-    }
-  }
-  zones_.push_back(std::move(zone));
-  return zones_.size() - 1;
-}
-
-const Zone* World::find_zone(std::string_view name) const {
-  for (const Zone& z : zones_) {
-    if (z.name == name) return &z;
-  }
-  return nullptr;
-}
-
 bool World::remove_tag(const util::Epc& epc) {
   const auto it = index_.find(epc);
   if (it == index_.end()) return false;

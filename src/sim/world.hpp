@@ -5,7 +5,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -121,15 +120,6 @@ class World {
   /// anything the planner depends on changed.
   std::uint64_t mobility_epoch() const noexcept { return mobility_epoch_; }
 
-  /// Registers a named coverage zone (fleet deployments: one per reader).
-  /// Returns its index into zones().  Duplicate names throw.
-  std::size_t add_zone(Zone zone);
-
-  const std::vector<Zone>& zones() const noexcept { return zones_; }
-
-  /// Looks up a zone by name, or nullptr.
-  const Zone* find_zone(std::string_view name) const;
-
   /// Append-only log of remove_tag() events, oldest first.  Flag mirrors
   /// keep a cursor into this to learn *when* a tag was de-energized (the
   /// epoch bump alone says only that indexes shifted, not at what time).
@@ -151,7 +141,6 @@ class World {
  private:
   std::vector<SimTag> tags_;
   std::vector<SimReflector> reflectors_;
-  std::vector<Zone> zones_;
   std::vector<TagDeparture> departures_;
   std::unordered_map<util::Epc, std::size_t> index_;
   util::SimTime now_{0};

@@ -28,17 +28,6 @@ void IndicatorBitmap::set(std::size_t i, bool value) {
   }
 }
 
-void IndicatorBitmap::set_word(std::size_t i, std::uint64_t value) {
-  if (i >= words_.size()) throw std::out_of_range("IndicatorBitmap::set_word");
-  const std::size_t tail = size_ % 64;
-  if (tail != 0 && i + 1 == words_.size()) {
-    value &= (std::uint64_t{1} << tail) - 1;
-  }
-  count_ += static_cast<std::size_t>(std::popcount(value));
-  count_ -= static_cast<std::size_t>(std::popcount(words_[i]));
-  words_[i] = value;
-}
-
 void IndicatorBitmap::assign_words(std::size_t size,
                                    const std::uint64_t* words) {
   const std::size_t n_words = (size + 63) / 64;

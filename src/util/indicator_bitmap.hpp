@@ -47,11 +47,6 @@ class IndicatorBitmap {
   /// contract); prefer the const overload everywhere else.
   std::uint64_t* word_data() noexcept { return words_.data(); }
 
-  /// Replaces word `i` wholesale, keeping the cached popcount exact.  Bits
-  /// past size_ in the tail word are masked off so word-wise hash/==/
-  /// and_count never see garbage.  Throws std::out_of_range on a bad index.
-  void set_word(std::size_t i, std::uint64_t value);
-
   /// Rebuilds the bitmap as `size` bits copied from the ⌈size/64⌉ words at
   /// `words` (tail bits masked, popcount recomputed) — the bulk
   /// materialization step of the candidate sweep.  `words` may alias the

@@ -60,7 +60,6 @@ class Histogram {
   /// Adds a sample; values outside [lo, hi) clamp into the edge bins.
   void add(double x) noexcept;
 
-  std::size_t bin_count() const noexcept { return counts_.size(); }
   std::size_t count(std::size_t bin) const { return counts_.at(bin); }
   std::size_t total() const noexcept { return total_; }
   /// Center value of a bin.

@@ -17,8 +17,8 @@ void MotionAssessor::ingest(const rf::TagReading& reading) {
   auto it = tags_.find(reading.epc);
   if (it == tags_.end()) {
     TagState state;
-    state.detector =
-        core::make_detector(config_.detector_kind, config_.detector);
+    state.detector = std::make_unique<core::MogDetector>(
+        /*use_phase=*/true, config_.immobility);
     it = tags_.emplace(reading.epc, std::move(state)).first;
   }
   TagState& state = it->second;
@@ -83,7 +83,7 @@ std::vector<util::Epc> MotionAssessor::mobile_tags(util::SimTime now) {
   return mobile;
 }
 
-const core::MotionDetector* MotionAssessor::detector_for(
+const core::MogDetector* MotionAssessor::detector_for(
     const util::Epc& epc) const {
   const auto it = tags_.find(epc);
   return it == tags_.end() ? nullptr : it->second.detector.get();

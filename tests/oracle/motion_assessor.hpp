@@ -1,8 +1,8 @@
 // Test oracle: the serial, one-detector-per-tag Phase-I motion assessor.
 //
 // The controller runs core::ParallelAssessor.  This class is the readable
-// reference it must match bit for bit: one MotionDetector per tag (any
-// DetectorKind) behind an unordered_map, fed one reading at a time.  It
+// reference it must match bit for bit: one phase MogDetector per tag
+// behind an unordered_map, fed one reading at a time.  It
 // also implements the §4.3 "reading exceptions" policy: state for tags
 // that leave the field for a long time is dropped; unknown tags are
 // admitted (and initially presumed mobile) on their first reading.
@@ -54,13 +54,13 @@ class MotionAssessor {
   std::size_t tracked_count() const noexcept { return tags_.size(); }
 
   /// The detector for a tag, or nullptr.
-  const core::MotionDetector* detector_for(const util::Epc& epc) const;
+  const core::MogDetector* detector_for(const util::Epc& epc) const;
 
   const core::AssessorConfig& config() const noexcept { return config_; }
 
  private:
   struct TagState {
-    std::unique_ptr<core::MotionDetector> detector;
+    std::unique_ptr<core::MogDetector> detector;
     util::SimTime last_seen{0};
     /// Which window the counters below belong to; counters from an older
     /// epoch are stale and reset lazily on the next in-window reading.

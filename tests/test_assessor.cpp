@@ -36,7 +36,7 @@ void for_each_assessor(const AssessorConfig& config, Body body) {
 
 AssessorConfig fast_config() {
   AssessorConfig c;
-  c.detector.phase_mog.trust_count = 5;
+  c.immobility.trust_count = 5;
   return c;
 }
 

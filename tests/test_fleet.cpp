@@ -360,6 +360,32 @@ TEST(FleetJournal, RejectsNegativeCounts) {
   EXPECT_EQ(llrp::FleetJournal::from_csv(ok).to_csv(), ok);
 }
 
+TEST(FleetJournal, RejectsNonCanonicalFields) {
+  // Every field must be exactly what to_csv writes for its value: other
+  // spellings of the same value used to load and then save as different
+  // text.
+  const std::string header = "# tagwatch-fleet-journal v1\n";
+  const std::string setup = "S,2,independent,S1,500\n";
+  const std::string epc(96, '1');
+  for (const std::string& bad : {
+           header + "S, 2,independent,S1,500\n",
+           header + "S,+2,independent,S1,500\n",
+           header + "S,02,independent,S1,500\n",
+           header + "S,2,independent,1,500\n",
+           header + "S,2,independent,S1,-0\n",
+           header + "S,2,indep\rendent,S1,500\n",
+           header + setup + "F,0,1,z,01,2,3,0\n",
+           header + setup + "H," + epc + ",0,1,+10\n",
+           header + setup + "D,1,0,z\r,3\n",
+           header + setup + "T,1,0,1,-01500\n",
+           header + setup + "R,4,0, 3\n",
+       }) {
+    EXPECT_THROW((void)llrp::FleetJournal::from_csv(bad),
+                 std::invalid_argument)
+        << bad;
+  }
+}
+
 // --------------------------------------------------------- record → replay
 
 TEST(FleetController, FourReaderRecordReplayPreservesJournalDigests) {

@@ -152,20 +152,6 @@ TEST(ParallelAssessor, MatchesSerialOnSmallScene) {
                                /*readings_per_window=*/160));
 }
 
-TEST(ParallelAssessor, MatchesSerialForEveryDetectorKind) {
-  for (const DetectorKind kind :
-       {DetectorKind::kPhaseMog, DetectorKind::kPhaseDiff,
-        DetectorKind::kRssMog, DetectorKind::kRssDiff,
-        DetectorKind::kHybridAnd, DetectorKind::kHybridOr}) {
-    SCOPED_TRACE(static_cast<int>(kind));
-    AssessorConfig config;
-    config.detector_kind = kind;
-    run_differential(config,
-                     make_stream(/*seed=*/23, /*n_tags=*/32, /*n_windows=*/4,
-                                 /*readings_per_window=*/200));
-  }
-}
-
 TEST(ParallelAssessor, MatchesSerialWithCorruptReadings) {
   run_differential(AssessorConfig{},
                    make_stream(/*seed=*/37, /*n_tags=*/64, /*n_windows=*/5,
@@ -269,7 +255,7 @@ TEST(ParallelAssessor, InvalidDetectorConfigThrowsEagerly) {
   // The serial oracle validates lazily at first detector construction;
   // the engine fails fast in the constructor instead.
   AssessorConfig config;
-  config.detector.phase_mog.learning_rate = 1.5;
+  config.immobility.learning_rate = 1.5;
   EXPECT_THROW(ParallelAssessor(config, 2), std::invalid_argument);
 }
 

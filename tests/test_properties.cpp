@@ -1,6 +1,8 @@
 // Property-style parameterized sweeps over protocol and scheduler invariants.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "core/rate_model.hpp"
 #include "core/setcover.hpp"
 #include "gen2/reader.hpp"
@@ -9,14 +11,20 @@
 namespace tagwatch {
 namespace {
 
+// gtest names each instance of these sweeps from a byte dump of its
+// parameter.  The parameter structs therefore have no padding: a padding
+// byte would put indeterminate memory into the ctest name, and the name
+// would change from build to build.
+
 // ---------------------------------------------------------------------
 // Inventory completeness: for any population size and any policy, a round
 // reads every present tag exactly once.
 struct InventoryParams {
   std::size_t n_tags;
   gen2::AntiCollisionPolicy policy;
-  std::uint8_t initial_q;
+  std::uint32_t initial_q;
 };
+static_assert(std::has_unique_object_representations_v<InventoryParams>);
 
 class InventoryCompleteness
     : public ::testing::TestWithParam<InventoryParams> {};
@@ -40,7 +48,7 @@ TEST_P(InventoryCompleteness, EveryTagReadExactlyOnce) {
                           util::Rng(99));
   std::map<std::string, int> read_counts;
   gen2::QueryCommand q;
-  q.q = p.initial_q;
+  q.q = static_cast<std::uint8_t>(p.initial_q);
   const gen2::RoundStats stats = reader.run_inventory_round(
       q, [&read_counts](const rf::TagReading& r) {
         ++read_counts[r.epc.to_hex()];
@@ -72,6 +80,7 @@ struct CoverParams {
   std::size_t targets;
   std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<CoverParams>);
 
 class SetCoverInvariants : public ::testing::TestWithParam<CoverParams> {};
 

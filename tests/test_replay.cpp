@@ -272,6 +272,51 @@ TEST(ReaderJournal, RejectsNegativeAndUntrustedCounts) {
   EXPECT_EQ(ReaderJournal::from_csv(ok).to_csv(), ok);
 }
 
+TEST(ReaderJournal, RejectsNonCanonicalFields) {
+  // Every field must be exactly what to_csv writes for its value: other
+  // spellings of the same value used to load and then save as different
+  // text, so the journal digest changed under a load/save cycle.
+  const std::string header = "# tagwatch-reader-journal v1\n";
+  const std::string caps = "C,sim,4,1,0,0\n";
+  const std::string execute = "E,0123456789abcdef,0,10,1,1,0,0,1,0,10,";
+  const std::string epc(96, '0');
+  for (const std::string& bad : {
+           // Counts and integers: no space, '+' or leading zero.
+           header + "C,sim, 4,1,0,0\n",
+           header + "C,sim,+4,1,0,0\n",
+           header + "C,sim,04,1,0,0\n",
+           header + "C,sim,4,1,0,0 \n",
+           header + caps + "A, 5\n",
+           header + caps + "A,-0\n",
+           header + caps + "A,007\n",
+           header + caps + "E,0123456789abcdef,+0,10,1,1,0,0,1,0,10,0\n",
+           header + caps + execute + "00\n",
+           // The capability flags: 0 or 1 only.
+           header + "C,sim,4,1,-7,0\n",
+           header + "C,sim,4,1,0,2\n",
+           // Digests: exactly 16 lower-case hex digits.
+           header + caps + "E,-1,0,10,1,1,0,0,1,0,10,0\n",
+           header + caps + "E,0x1,0,10,1,1,0,0,1,0,10,0\n",
+           header + caps + "E, 1,0,10,1,1,0,0,1,0,10,0\n",
+           header + caps + "E,1,0,10,1,1,0,0,1,0,10,0\n",
+           header + caps + "E,0123456789ABCDEF,0,10,1,1,0,0,1,0,10,0\n",
+           header + caps + "E,00123456789abcdef,0,10,1,1,0,0,1,0,10,0\n",
+           // Doubles: the %.17g text only.
+           header + caps + execute + "1\nR," + epc + ",1,0,0.50,-60,5\n",
+           header + caps + execute + "1\nR," + epc + ",1,0, 0.5,-60,5\n",
+           header + caps + execute + "1\nR," + epc + ",1,0,5e-1,-60,5\n",
+           header + caps + execute + "1\nR," + epc + ",1,0,0.5,-60.0,5\n",
+           // Text: no carriage return (sanitize_field would rewrite it).
+           header + "C,si\rm,4,1,0,0\n",
+       }) {
+    EXPECT_THROW((void)ReaderJournal::from_csv(bad), std::invalid_argument)
+        << bad;
+  }
+  const std::string ok = header + caps + execute + "1\nR," + epc +
+                         ",1,0,0.5,-60,5\nA,-7\n";
+  EXPECT_EQ(ReaderJournal::from_csv(ok).to_csv(), ok);
+}
+
 TEST(ReaderJournal, SaveLoadRoundTrip) {
   RecordBed bed(6, 1);
   record_run(bed, 2);

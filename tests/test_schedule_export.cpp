@@ -55,14 +55,21 @@ TEST(ScheduleExport, OptionsAreApplied) {
 }
 
 TEST(ScheduleExport, XmlRoundTripsThroughParser) {
+  // The XML is the exported ROSpec's, with one <AISpec> per selection
+  // carrying that selection's mask, in schedule order.
   const Schedule schedule = make_schedule();
   const std::string xml = schedule_to_xml(schedule);
-  const llrp::ROSpec parsed = llrp::rospec_from_xml(xml);
-  EXPECT_EQ(parsed.ai_specs.size(), schedule.selections.size());
-  for (std::size_t i = 0; i < parsed.ai_specs.size(); ++i) {
-    EXPECT_EQ(parsed.ai_specs[i].filters[0].mask,
-              schedule.selections[i].bitmask.mask);
+  EXPECT_EQ(xml, llrp::to_xml(schedule_to_rospec(schedule)));
+  std::size_t pos = 0;
+  for (const auto& sel : schedule.selections) {
+    pos = xml.find("<AISpec ", pos);
+    ASSERT_NE(pos, std::string::npos);
+    const std::string mask =
+        "<Mask>" + sel.bitmask.mask.to_binary_string() + "</Mask>";
+    pos = xml.find(mask, pos);
+    ASSERT_NE(pos, std::string::npos) << mask;
   }
+  EXPECT_EQ(xml.find("<AISpec ", pos), std::string::npos);
 }
 
 TEST(ScheduleExport, EmptyScheduleYieldsEmptyRospec) {

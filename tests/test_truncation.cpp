@@ -128,9 +128,16 @@ TEST(Truncation, XmlRoundTripsTruncateBit) {
   f.truncate = true;
   ai.filters.push_back(f);
   spec.ai_specs.push_back(ai);
-  const llrp::ROSpec parsed = llrp::rospec_from_xml(llrp::to_xml(spec));
-  ASSERT_EQ(parsed.ai_specs.size(), 1u);
-  EXPECT_TRUE(parsed.ai_specs[0].filters[0].truncate);
+  EXPECT_EQ(llrp::to_xml(spec),
+            "<ROSpec id=\"1\" priority=\"0\" loops=\"1\">\n"
+            "  <AISpec session=\"1\" initialQ=\"4\">\n"
+            "    <Antennas></Antennas>\n"
+            "    <C1G2Filter bank=\"1\" pointer=\"3\" truncate=\"1\">\n"
+            "      <Mask>110</Mask>\n"
+            "    </C1G2Filter>\n"
+            "    <StopTrigger kind=\"rounds\" rounds=\"1\"/>\n"
+            "  </AISpec>\n"
+            "</ROSpec>\n");
 }
 
 }  // namespace

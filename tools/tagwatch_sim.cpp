@@ -94,6 +94,8 @@
 //   retry_attempts       = 3      controller attempts per ROSpec [1,10]
 //   degrade_after        = 3      K failed cycles -> read-all fallback
 //   restore_after        = 3      M healthy cycles -> adaptive again
+//                                 (these three apply to every reader's
+//                                 controller in fleet mode too)
 #include <algorithm>
 #include <cstdio>
 #include <limits>
@@ -201,6 +203,38 @@ gen2::InvFlag parse_inv_target(const std::string& target) {
   if (target == "B") return gen2::InvFlag::kB;
   throw std::invalid_argument("unknown fleet.target: " + target +
                               " (expected A|B)");
+}
+
+/// The controller settings both paths share; the fleet path adds its
+/// query target on top.
+core::TagwatchConfig controller_config(const util::KeyValueConfig& cfg) {
+  core::TagwatchConfig c;
+  c.mode = parse_mode(cfg.get_or("mode", "tagwatch"));
+  c.greedy_evaluation =
+      parse_evaluation(cfg.get_or("scheduler_evaluation", "lazy"));
+  c.planner.incremental = cfg.get_bool_or(
+      "planner.incremental", core::PlannerConfig{}.incremental);
+  c.planner.churn_threshold =
+      double_in(cfg, "planner.churn_threshold", 0.15, 0.0, 1.0);
+  c.planner.threads =
+      static_cast<std::size_t>(int_in(cfg, "planner.threads", 1, 1, 64));
+  c.phase2_duration = util::sec(int_in(cfg, "phase2_seconds", 5, 1, 3600));
+  c.pinned_targets = cfg.get_epc_list("pinned_targets");
+  c.assessor.mobile_vote_threshold =
+      static_cast<std::size_t>(int_in(cfg, "votes", 1, 1, 100));
+  c.assessor.immobility.max_components =
+      static_cast<std::size_t>(int_in(cfg, "k", 8, 1, 64));
+  // Any value is bit-identical to 1 (the differential tests enforce it);
+  // raising it only buys ingestion throughput on large scenes.
+  c.assessor_threads =
+      static_cast<std::size_t>(int_in(cfg, "assessor_threads", 1, 1, 64));
+  c.resilience.retry.max_attempts =
+      static_cast<std::size_t>(int_in(cfg, "retry_attempts", 3, 1, 10));
+  c.resilience.degrade_after_failures =
+      static_cast<std::size_t>(int_in(cfg, "degrade_after", 3, 1, 100));
+  c.resilience.restore_after_healthy =
+      static_cast<std::size_t>(int_in(cfg, "restore_after", 3, 1, 100));
+  return c;
 }
 
 /// Multi-reader path: a strip of overlapping zones under a
@@ -355,25 +389,8 @@ int run_fleet(const util::KeyValueConfig& cfg) {
 
   // -------------------------------------------------------------- fleet
   core::FleetConfig fcfg;
-  fcfg.controller.mode = parse_mode(cfg.get_or("mode", "tagwatch"));
-  fcfg.controller.greedy_evaluation =
-      parse_evaluation(cfg.get_or("scheduler_evaluation", "lazy"));
-  fcfg.controller.planner.incremental = cfg.get_bool_or(
-      "planner.incremental", core::PlannerConfig{}.incremental);
-  fcfg.controller.planner.churn_threshold =
-      double_in(cfg, "planner.churn_threshold", 0.15, 0.0, 1.0);
-  fcfg.controller.planner.threads =
-      static_cast<std::size_t>(int_in(cfg, "planner.threads", 1, 1, 64));
-  fcfg.controller.phase2_duration =
-      util::sec(int_in(cfg, "phase2_seconds", 5, 1, 3600));
-  fcfg.controller.pinned_targets = cfg.get_epc_list("pinned_targets");
+  fcfg.controller = controller_config(cfg);
   fcfg.controller.query_target = target;
-  fcfg.controller.assessor.mobile_vote_threshold =
-      static_cast<std::size_t>(int_in(cfg, "votes", 1, 1, 100));
-  fcfg.controller.assessor.detector.phase_mog.max_components =
-      static_cast<std::size_t>(int_in(cfg, "k", 8, 1, 64));
-  fcfg.controller.assessor_threads =
-      static_cast<std::size_t>(int_in(cfg, "assessor_threads", 1, 1, 64));
   fcfg.policy = policy;
   fcfg.shared_session = session;
   fcfg.dedup_window = dedup_window;
@@ -561,7 +578,6 @@ int run(int argc, char** argv) {
   const double mover_speed = double_in(cfg, "mover_speed", 0.7, 0.0, 100.0);
   const auto n_people =
       static_cast<std::size_t>(int_in(cfg, "people", 0, 0, 1000));
-  const core::ScheduleMode mode = parse_mode(cfg.get_or("mode", "tagwatch"));
   const auto cycles =
       static_cast<std::size_t>(int_in(cfg, "cycles", 10, 1, 1000000));
   const auto seed = static_cast<std::uint64_t>(int_in(
@@ -667,33 +683,7 @@ int run(int argc, char** argv) {
   }
 
   // ---------------------------------------------------------- tagwatch
-  core::TagwatchConfig twcfg;
-  twcfg.mode = mode;
-  twcfg.greedy_evaluation =
-      parse_evaluation(cfg.get_or("scheduler_evaluation", "lazy"));
-  twcfg.planner.incremental = cfg.get_bool_or(
-      "planner.incremental", core::PlannerConfig{}.incremental);
-  twcfg.planner.churn_threshold =
-      double_in(cfg, "planner.churn_threshold", 0.15, 0.0, 1.0);
-  twcfg.planner.threads =
-      static_cast<std::size_t>(int_in(cfg, "planner.threads", 1, 1, 64));
-  twcfg.phase2_duration =
-      util::sec(int_in(cfg, "phase2_seconds", 5, 1, 3600));
-  twcfg.pinned_targets = cfg.get_epc_list("pinned_targets");
-  twcfg.assessor.mobile_vote_threshold =
-      static_cast<std::size_t>(int_in(cfg, "votes", 1, 1, 100));
-  twcfg.assessor.detector.phase_mog.max_components =
-      static_cast<std::size_t>(int_in(cfg, "k", 8, 1, 64));
-  // Any value is bit-identical to 1 (the differential tests enforce it);
-  // raising it only buys ingestion throughput on large scenes.
-  twcfg.assessor_threads =
-      static_cast<std::size_t>(int_in(cfg, "assessor_threads", 1, 1, 64));
-  twcfg.resilience.retry.max_attempts =
-      static_cast<std::size_t>(int_in(cfg, "retry_attempts", 3, 1, 10));
-  twcfg.resilience.degrade_after_failures =
-      static_cast<std::size_t>(int_in(cfg, "degrade_after", 3, 1, 100));
-  twcfg.resilience.restore_after_healthy =
-      static_cast<std::size_t>(int_in(cfg, "restore_after", 3, 1, 100));
+  const core::TagwatchConfig twcfg = controller_config(cfg);
   core::TagwatchController ctl(twcfg, *client);
 
   core::IrrMonitor monitor(twcfg.phase2_duration);
