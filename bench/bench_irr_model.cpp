@@ -93,18 +93,19 @@ int main() {
 
   std::printf("%4s  %8s  %8s  %8s  %8s  %8s  %10s\n", "n", "Q0=1", "Q0=2",
               "Q0=4", "Q0=6", "tree", "model(Hz)");
+  // The last column is an extra baseline: binary tree splitting (the TDMA
+  // family of §8) — same order as Q-adaptive, confirming the paper's point
+  // that better anti-collision buys little.
+  irr.emplace_back();
   for (std::size_t i = 0; i < ns.size(); ++i) {
-    std::printf("%4zu", ns[i]);
-    for (std::size_t qi = 0; qi < initial_qs.size(); ++qi) {
-      std::printf("  %8.2f", irr[qi][i]);
-    }
-    // Extra baseline: binary tree splitting (the TDMA family of §8) —
-    // same order as Q-adaptive, confirming the paper's point that better
-    // anti-collision buys little.
     const util::SimDuration tree = mean_round_duration(
         ns[i], 4, kRepeatRounds, 77000 + ns[i],
         gen2::AntiCollisionPolicy::kBinaryTree);
-    std::printf("  %8.2f", 1.0 / util::to_seconds(tree));
+    irr.back().push_back(1.0 / util::to_seconds(tree));
+    std::printf("%4zu", ns[i]);
+    for (const std::vector<double>& column : irr) {
+      std::printf("  %8.2f", column[i]);
+    }
     std::printf("  %10.2f\n", fitted.irr_hz(ns[i]));
   }
 
@@ -120,5 +121,19 @@ int main() {
   report.add("irr_n40_q4", irr[2].back(), "hz");
   report.add("irr_drop_n1_to_n40", drop, "ratio");
   std::printf("wrote %s\n", report.write().c_str());
+
+  // Paper band (ctest paper_irr_model): the Fig. 2 shape above.
+  bool decreasing = true;
+  for (const std::vector<double>& column : irr) {
+    for (std::size_t i = 1; i < column.size(); ++i) {
+      decreasing = decreasing && column[i] < column[i - 1];
+    }
+  }
+  if (!decreasing || fitted.fit_r_squared() < 0.95 || drop < 0.70) {
+    std::printf("FAIL: IRR must fall strictly in n in every column (%s), "
+                "with fit R^2 %.3f >= 0.95 and Q0=4 drop %.2f >= 0.70\n",
+                decreasing ? "yes" : "no", fitted.fit_r_squared(), drop);
+    return 1;
+  }
   return 0;
 }

@@ -86,6 +86,7 @@ int main() {
               "(%d trials each)\n\n", kTrials);
   std::printf("%-12s  %10s  %10s\n", "displacement", "Phase-MoG", "RSS-MoG");
   bench::BenchReport report("sensitivity", /*seed=*/1000);
+  bool in_band = true;
   for (int cm = 1; cm <= 5; ++cm) {
     int phase_hits = 0, rss_hits = 0;
     for (int t = 0; t < kTrials; ++t) {
@@ -100,10 +101,19 @@ int main() {
                static_cast<double>(phase_hits) / kTrials, "ratio");
     report.add("rss_mog_detection" + at,
                static_cast<double>(rss_hits) / kTrials, "ratio");
+    // Paper band: phase detects >= 95% from 2 cm on and beats RSS at
+    // every displacement.
+    in_band = in_band && phase_hits > rss_hits &&
+              (cm < 2 || 100 * phase_hits >= 95 * kTrials);
   }
   std::printf("\npaper: phase 87%%@2cm, 99%%@3cm; RSS 9%%@1cm ... 76%%@5cm.\n");
   std::printf("(a 1 cm displacement doubles to 2 cm of round-trip path — the "
               "phase's natural amplifier)\n");
   std::printf("wrote %s\n", report.write().c_str());
+  if (!in_band) {
+    std::printf("FAIL: Phase-MoG must detect >= 95%% of trials at every "
+                "displacement >= 2 cm and beat RSS-MoG at every one\n");
+    return 1;
+  }
   return 0;
 }

@@ -4,7 +4,8 @@
 // deterministic by construction.  A few places legitimately measure *host*
 // wall time — per-sink dispatch latency in the reading pipeline, the
 // scheduler's compute budget (Fig. 17) — and no other file in src/ may
-// read a raw std::chrono clock (tagwatch_lint rule `determinism`).
+// read a raw std::chrono clock (lint rule `determinism`, checked by the
+// LintSelfCheck test).
 // WallClock is the seam: production code uses the steady_clock-backed
 // system() singleton, tests inject a FakeWallClock and assert latency
 // accounting exactly.

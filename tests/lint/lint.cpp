@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cctype>
-#include <map>
-#include <set>
 #include <string_view>
 
 namespace tagwatch::lint {
@@ -68,47 +66,116 @@ std::size_t match_bracket(const std::string& text, std::size_t pos,
   return std::string::npos;
 }
 
-// ------------------------------------------------------- allow() hatch
+// ---------------------------------------------------------------- scrub
 
-constexpr std::string_view kAllowMarker = "tagwatch-lint: allow(";
-
-/// Lines (1-based) of the raw file that carry an allow() annotation for
-/// `rule`, mapped over both the annotated line and the one below it.
-struct AllowIndex {
-  // line -> set of rule names allowed on that line.
-  std::map<std::size_t, std::set<std::string>> by_line;
-  std::size_t annotations = 0;
-
-  // rule -> how many annotations name it (feeds the per-rule budget).
-  std::map<std::string, std::size_t> annotations_by_rule;
-
-  explicit AllowIndex(const std::string& raw) {
-    std::size_t pos = 0;
-    while ((pos = raw.find(kAllowMarker, pos)) != std::string::npos) {
-      const std::size_t open = pos + kAllowMarker.size();
-      const std::size_t close = raw.find(')', open);
-      if (close != std::string::npos) {
-        const std::string rule = raw.substr(open, close - open);
-        // Only a real rule name is an annotation — this keeps prose like
-        // "allow(<rule>)" in documentation from eating the budget.
-        const auto& names = RuleEngine::rule_names();
-        if (std::find(names.begin(), names.end(), rule) != names.end()) {
-          ++annotations;
-          ++annotations_by_rule[rule];
-          const std::size_t line = line_of(raw, pos);
-          by_line[line].insert(rule);
-          by_line[line + 1].insert(rule);  // Annotation-above style.
+/// Blanks comment bodies (preserving newlines) so token rules do not fire
+/// on prose.  String literals survive.
+std::string scrub_comments(const std::string& text) {
+  std::string out = text;
+  enum class State { kCode, kLine, kBlock, kString, kChar } state =
+      State::kCode;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const char c = out[i];
+    const char next = i + 1 < out.size() ? out[i + 1] : '\0';
+    switch (state) {
+      case State::kCode:
+        if (c == '/' && next == '/') {
+          state = State::kLine;
+          out[i] = ' ';
+        } else if (c == '/' && next == '*') {
+          state = State::kBlock;
+          out[i] = ' ';
+        } else if (c == '"') {
+          state = State::kString;
+        } else if (c == '\'') {
+          state = State::kChar;
         }
-      }
-      pos = open;
+        break;
+      case State::kLine:
+        if (c == '\n') {
+          state = State::kCode;
+        } else {
+          out[i] = ' ';
+        }
+        break;
+      case State::kBlock:
+        if (c == '*' && next == '/') {
+          out[i] = ' ';
+          out[i + 1] = ' ';
+          ++i;
+          state = State::kCode;
+        } else if (c != '\n') {
+          out[i] = ' ';
+        }
+        break;
+      case State::kString:
+        if (c == '\\') {
+          ++i;
+        } else if (c == '"') {
+          state = State::kCode;
+        }
+        break;
+      case State::kChar:
+        if (c == '\\') {
+          ++i;
+        } else if (c == '\'') {
+          state = State::kCode;
+        }
+        break;
     }
   }
+  return out;
+}
 
-  bool allows(std::size_t line, const std::string& rule) const {
-    const auto it = by_line.find(line);
-    return it != by_line.end() && it->second.count(rule) > 0;
+/// Blanks comments *and* string/char literal contents.
+std::string scrub_comments_and_strings(const std::string& text) {
+  std::string out = scrub_comments(text);
+  enum class State { kCode, kString, kChar } state = State::kCode;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const char c = out[i];
+    switch (state) {
+      case State::kCode:
+        if (c == '"') {
+          state = State::kString;
+        } else if (c == '\'') {
+          state = State::kChar;
+        }
+        break;
+      case State::kString:
+        if (c == '\\' && i + 1 < out.size()) {
+          out[i] = ' ';
+          out[i + 1] = ' ';
+          ++i;
+        } else if (c == '"') {
+          state = State::kCode;
+        } else if (c != '\n') {
+          out[i] = ' ';
+        }
+        break;
+      case State::kChar:
+        if (c == '\\' && i + 1 < out.size()) {
+          out[i] = ' ';
+          out[i + 1] = ' ';
+          ++i;
+        } else if (c == '\'') {
+          state = State::kCode;
+        } else if (c != '\n') {
+          out[i] = ' ';
+        }
+        break;
+    }
   }
-};
+  return out;
+}
+
+/// 1-based line number of byte offset `pos` in `text`.
+std::size_t line_of(const std::string& text, std::size_t pos) {
+  if (pos > text.size()) pos = text.size();
+  return 1 + static_cast<std::size_t>(
+                 std::count(text.begin(),
+                            text.begin() + static_cast<std::ptrdiff_t>(pos),
+                            '\n'));
+}
 
 // ------------------------------------------------------------- rule D
 
@@ -442,348 +509,26 @@ void check_pipeline_reentrancy(const SourceFile& file,
   }
 }
 
-// ------------------------------------------------------------- rule J
-
-/// Enumerators of `enum class <name> { ... }` in `scrubbed`, or empty.
-std::vector<std::string> parse_enumerators(const std::string& scrubbed,
-                                           std::string_view enum_name) {
-  const std::size_t decl = find_identifier(scrubbed, enum_name, 0);
-  if (decl == std::string::npos) return {};
-  const std::size_t open = scrubbed.find('{', decl);
-  if (open == std::string::npos) return {};
-  const std::size_t end = match_bracket(scrubbed, open, '{', '}');
-  if (end == std::string::npos) return {};
-  std::vector<std::string> names;
-  std::size_t cur = open + 1;
-  while (cur < end - 1) {
-    cur = skip_ws(scrubbed, cur);
-    if (cur >= end - 1) break;
-    if (!is_ident_char(scrubbed[cur])) {
-      ++cur;
-      continue;
-    }
-    std::size_t ident_end = cur;
-    while (ident_end < end - 1 && is_ident_char(scrubbed[ident_end])) {
-      ++ident_end;
-    }
-    names.emplace_back(scrubbed, cur, ident_end - cur);
-    // Skip to the next comma at enum level (past any = expression).
-    cur = scrubbed.find(',', ident_end);
-    if (cur == std::string::npos || cur > end) break;
-    ++cur;
-  }
-  return names;
-}
-
-/// Journal record tags appearing as `<< "T,"` (serializer) in `scrubbed`.
-std::set<std::string> serializer_tags(const std::string& scrubbed) {
-  std::set<std::string> tags;
-  std::size_t pos = 0;
-  while ((pos = scrubbed.find("<<", pos)) != std::string::npos) {
-    const std::size_t quote = skip_ws(scrubbed, pos + 2);
-    // A record tag is a one-letter literal "T," opening a CSV line.
-    if (quote + 3 < scrubbed.size() && scrubbed[quote] == '"' &&
-        std::isupper(static_cast<unsigned char>(scrubbed[quote + 1])) != 0 &&
-        scrubbed[quote + 2] == ',' && scrubbed[quote + 3] == '"') {
-      tags.insert(std::string(1, scrubbed[quote + 1]));
-    }
-    pos += 2;
-  }
-  return tags;
-}
-
-/// Journal record tags the parser handles: `f[0] == "T"`.
-std::set<std::string> parser_tags(const std::string& scrubbed) {
-  std::set<std::string> tags;
-  std::size_t pos = 0;
-  while ((pos = scrubbed.find("==", pos)) != std::string::npos) {
-    const std::size_t quote = skip_ws(scrubbed, pos + 2);
-    if (quote + 2 < scrubbed.size() && scrubbed[quote] == '"' &&
-        std::isupper(static_cast<unsigned char>(scrubbed[quote + 1])) != 0 &&
-        scrubbed[quote + 2] == '"') {
-      tags.insert(std::string(1, scrubbed[quote + 1]));
-    }
-    pos += 2;
-  }
-  return tags;
-}
-
-const SourceFile* find_file(const std::vector<SourceFile>& files,
-                            std::string_view suffix) {
-  for (const SourceFile& f : files) {
-    if (ends_with(f.path, suffix)) return &f;
-  }
-  return nullptr;
-}
-
-/// Cross-file consistency: adding a ReaderErrorKind enumerator or a journal
-/// record tag in one place must not silently skip the other tables.
-void check_journal_discipline(const std::vector<SourceFile>& files,
-                              std::vector<Finding>& out) {
-  const SourceFile* enum_hdr = find_file(files, "llrp/reader_client.hpp");
-  const SourceFile* name_src = find_file(files, "llrp/reader_client.cpp");
-  const SourceFile* health_hdr = find_file(files, "core/resilience.hpp");
-  const SourceFile* inject_src = find_file(files, "llrp/fault_injection.cpp");
-  if (enum_hdr != nullptr) {
-    const std::string hdr = scrub_comments_and_strings(enum_hdr->content);
-    const std::vector<std::string> kinds =
-        parse_enumerators(hdr, "ReaderErrorKind");
-    const std::size_t enum_line =
-        line_of(hdr, find_identifier(hdr, "ReaderErrorKind", 0));
-    if (kinds.empty()) {
-      out.push_back({enum_hdr->path, 1, "journal-discipline",
-                     "cannot parse enum class ReaderErrorKind"});
-    }
-    for (const std::string& kind : kinds) {
-      if (name_src != nullptr) {
-        const std::string src = scrub_comments(name_src->content);
-        if (src.find("case ReaderErrorKind::" + kind) == std::string::npos) {
-          out.push_back({enum_hdr->path, enum_line, "journal-discipline",
-                         "ReaderErrorKind::" + kind +
-                             " missing from to_string() in " +
-                             name_src->path});
-        }
-        if (src.find("return ReaderErrorKind::" + kind) ==
-            std::string::npos) {
-          out.push_back(
-              {enum_hdr->path, enum_line, "journal-discipline",
-               "ReaderErrorKind::" + kind +
-                   " missing from reader_error_kind_from_string() in " +
-                   name_src->path});
-        }
-      }
-      if (health_hdr != nullptr &&
-          health_hdr->content.find("ReaderErrorKind::" + kind) ==
-              std::string::npos) {
-        out.push_back({enum_hdr->path, enum_line, "journal-discipline",
-                       "ReaderErrorKind::" + kind +
-                           " not counted by HealthMetrics::count_fault in " +
-                           health_hdr->path});
-      }
-      // The fault injector must be able to produce every error kind, or
-      // the chaos harness silently stops covering it (and a journaled X
-      // record of that kind could never have come from a drill).
-      if (inject_src != nullptr &&
-          scrub_comments(inject_src->content)
-                  .find("ReaderErrorKind::" + kind) == std::string::npos) {
-        out.push_back({enum_hdr->path, enum_line, "journal-discipline",
-                       "ReaderErrorKind::" + kind +
-                           " never injected by FaultInjectingReaderClient "
-                           "in " +
-                           inject_src->path});
-      }
-    }
-  }
-  // Every CSV journal implementation must keep its serializer and parser
-  // record-tag tables symmetric — one-sided tags silently truncate replay.
-  for (const char* journal_file :
-       {"llrp/reader_journal.cpp", "llrp/fleet_journal.cpp"}) {
-    const SourceFile* journal = find_file(files, journal_file);
-    if (journal == nullptr) continue;
-    const std::string src = scrub_comments(journal->content);
-    const std::set<std::string> written = serializer_tags(src);
-    const std::set<std::string> parsed = parser_tags(src);
-    for (const std::string& tag : written) {
-      if (parsed.count(tag) == 0) {
-        out.push_back({journal->path, 1, "journal-discipline",
-                       "record tag '" + tag +
-                           "' is serialized but never parsed"});
-      }
-    }
-    for (const std::string& tag : parsed) {
-      if (written.count(tag) == 0) {
-        out.push_back({journal->path, 1, "journal-discipline",
-                       "record tag '" + tag +
-                           "' is parsed but never serialized"});
-      }
-    }
-  }
-}
-
 }  // namespace
 
-// ---------------------------------------------------------------- scrub
-
-std::string scrub_comments(const std::string& text) {
-  std::string out = text;
-  enum class State { kCode, kLine, kBlock, kString, kChar } state =
-      State::kCode;
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    const char c = out[i];
-    const char next = i + 1 < out.size() ? out[i + 1] : '\0';
-    switch (state) {
-      case State::kCode:
-        if (c == '/' && next == '/') {
-          state = State::kLine;
-          out[i] = ' ';
-        } else if (c == '/' && next == '*') {
-          state = State::kBlock;
-          out[i] = ' ';
-        } else if (c == '"') {
-          state = State::kString;
-        } else if (c == '\'') {
-          state = State::kChar;
-        }
-        break;
-      case State::kLine:
-        if (c == '\n') {
-          state = State::kCode;
-        } else {
-          out[i] = ' ';
-        }
-        break;
-      case State::kBlock:
-        if (c == '*' && next == '/') {
-          out[i] = ' ';
-          out[i + 1] = ' ';
-          ++i;
-          state = State::kCode;
-        } else if (c != '\n') {
-          out[i] = ' ';
-        }
-        break;
-      case State::kString:
-        if (c == '\\') {
-          ++i;
-        } else if (c == '"') {
-          state = State::kCode;
-        }
-        break;
-      case State::kChar:
-        if (c == '\\') {
-          ++i;
-        } else if (c == '\'') {
-          state = State::kCode;
-        }
-        break;
-    }
-  }
-  return out;
-}
-
-std::string scrub_comments_and_strings(const std::string& text) {
-  std::string out = scrub_comments(text);
-  enum class State { kCode, kString, kChar } state = State::kCode;
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    const char c = out[i];
-    switch (state) {
-      case State::kCode:
-        if (c == '"') {
-          state = State::kString;
-        } else if (c == '\'') {
-          state = State::kChar;
-        }
-        break;
-      case State::kString:
-        if (c == '\\' && i + 1 < out.size()) {
-          out[i] = ' ';
-          out[i + 1] = ' ';
-          ++i;
-        } else if (c == '"') {
-          state = State::kCode;
-        } else if (c != '\n') {
-          out[i] = ' ';
-        }
-        break;
-      case State::kChar:
-        if (c == '\\' && i + 1 < out.size()) {
-          out[i] = ' ';
-          out[i + 1] = ' ';
-          ++i;
-        } else if (c == '\'') {
-          state = State::kCode;
-        } else if (c != '\n') {
-          out[i] = ' ';
-        }
-        break;
-    }
-  }
-  return out;
-}
-
-std::size_t line_of(const std::string& text, std::size_t pos) {
-  if (pos > text.size()) pos = text.size();
-  return 1 + static_cast<std::size_t>(
-                 std::count(text.begin(),
-                            text.begin() + static_cast<std::ptrdiff_t>(pos),
-                            '\n'));
-}
-
-// --------------------------------------------------------------- engine
-
-const std::vector<RuleInfo>& RuleEngine::rules() {
-  static const std::vector<RuleInfo> catalog = {
-      {"determinism",
-       "no wall-clock/entropy/environment reads anywhere in src/ outside "
-       "src/util/wall_clock.* (host time enters only through "
-       "util::WallClock)"},
-      {"header-pragma-once", "every header opens with #pragma once"},
-      {"header-using-namespace", "no 'using namespace' in headers"},
-      {"include-order",
-       "own header first, then <system>, then \"project\" includes"},
-      {"pipeline-reentrancy",
-       "ReadingSink hooks never call execute() (re-enters the transport "
-       "mid-cycle)"},
-      {"journal-discipline",
-       "ReaderErrorKind enumerators and journal record tags stay in sync "
-       "across serializer, parser, health digest, and fault injector"},
-      {"threading-discipline",
-       "raw threads and mutex declarations only inside util::TaskPool; "
-       "mutexes held via RAII guards, never explicit lock()/unlock()"},
-  };
-  return catalog;
-}
-
-const std::vector<std::string>& RuleEngine::rule_names() {
-  static const std::vector<std::string> names = [] {
-    std::vector<std::string> out;
-    for (const RuleInfo& rule : rules()) out.push_back(rule.name);
-    return out;
-  }();
-  return names;
-}
-
-LintReport RuleEngine::run(const std::vector<SourceFile>& files) const {
-  LintReport report;
-  std::vector<Finding> raw_findings;
+std::vector<Finding> run(const std::vector<SourceFile>& files) {
+  std::vector<Finding> findings;
   for (const SourceFile& file : files) {
     const std::string scrubbed = scrub_comments_and_strings(file.content);
-    check_determinism(file, scrubbed, raw_findings);
-    check_pragma_once(file, scrubbed, raw_findings);
-    check_using_namespace(file, scrubbed, raw_findings);
-    check_include_order(file, file.content, raw_findings);
-    check_pipeline_reentrancy(file, scrubbed, raw_findings);
-    check_threading(file, scrubbed, raw_findings);
+    check_determinism(file, scrubbed, findings);
+    check_pragma_once(file, scrubbed, findings);
+    check_using_namespace(file, scrubbed, findings);
+    check_include_order(file, file.content, findings);
+    check_pipeline_reentrancy(file, scrubbed, findings);
+    check_threading(file, scrubbed, findings);
   }
-  check_journal_discipline(files, raw_findings);
-
-  // Apply allow() suppressions and count annotations per file.
-  std::map<std::string, AllowIndex> allows;
-  for (const SourceFile& file : files) {
-    const auto [it, inserted] =
-        allows.try_emplace(file.path, AllowIndex(file.content));
-    if (inserted) {
-      report.allow_annotations += it->second.annotations;
-      for (const auto& [rule, count] : it->second.annotations_by_rule) {
-        report.allow_annotations_by_rule[rule] += count;
-      }
-    }
-  }
-  for (Finding& f : raw_findings) {
-    const auto it = allows.find(f.file);
-    if (it != allows.end() && it->second.allows(f.line, f.rule)) {
-      ++report.suppressions_used;
-    } else {
-      report.findings.push_back(std::move(f));
-    }
-  }
-  std::sort(report.findings.begin(), report.findings.end(),
+  std::sort(findings.begin(), findings.end(),
             [](const Finding& a, const Finding& b) {
               if (a.file != b.file) return a.file < b.file;
               if (a.line != b.line) return a.line < b.line;
               return a.rule < b.rule;
             });
-  return report;
+  return findings;
 }
 
 }  // namespace tagwatch::lint

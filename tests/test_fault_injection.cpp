@@ -4,6 +4,9 @@
 
 #include <memory>
 #include <optional>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "llrp/fault_injection.hpp"
 #include "llrp/recording_reader_client.hpp"
@@ -200,34 +203,59 @@ TEST(FaultInjection, ListenerSeesExactlyTheReportedReadings) {
 
 // ------------------------------------------------ journal error records
 
+/// Every ReaderErrorKind, in enumerator order.  The walk stops at the first
+/// value to_string() does not name; -Wswitch keeps to_string() exhaustive,
+/// so the walk finds every enumerator.
+std::vector<ReaderErrorKind> all_error_kinds() {
+  std::vector<ReaderErrorKind> kinds;
+  for (int k = 0;; ++k) {
+    const auto kind = static_cast<ReaderErrorKind>(k);
+    if (std::string_view(to_string(kind)) == "unknown") return kinds;
+    kinds.push_back(kind);
+  }
+}
+
 TEST(ReaderJournal, ErrorRecordsRoundTripThroughCsv) {
+  // One scripted fault of every kind, then an advance and a healthy
+  // execute, so the journal carries every record tag (C, E, X, R, A).
+  // Only port 0 is driven, so the lost port 1 does not poison later specs.
+  const std::vector<ReaderErrorKind> kinds = all_error_kinds();
   FaultPlan plan;
-  plan.scripted = {{0, ReaderErrorKind::kProtocolError, 0},
-                   {1, ReaderErrorKind::kAntennaLost, 1}};
+  for (std::size_t i = 0; i < kinds.size(); ++i) {
+    plan.scripted.push_back({i, kinds[i], 1});
+  }
   FaultBed bed(plan);
   RecordingReaderClient recorder(*bed.faulty);
-  recorder.execute(rounds_spec());
-  recorder.execute(rounds_spec());
-  ROSpec healthy = rounds_spec();
-  healthy.ai_specs[0].antenna_indexes = {0};
-  recorder.execute(healthy);
+  ROSpec spec = rounds_spec();
+  spec.ai_specs[0].antenna_indexes = {0};
+  for (std::size_t i = 0; i < kinds.size(); ++i) recorder.execute(spec);
+  recorder.advance(util::msec(3));
+  recorder.execute(spec);
 
   const std::string csv = recorder.journal().to_csv();
-  EXPECT_NE(csv.find("X,protocol-error,"), std::string::npos);
-  EXPECT_NE(csv.find("X,antenna-lost,1,"), std::string::npos);
+  for (const ReaderErrorKind kind : kinds) {
+    EXPECT_NE(csv.find(std::string("\nX,") + to_string(kind) + ","),
+              std::string::npos)
+        << to_string(kind);
+  }
+  EXPECT_NE(csv.find("\nX,antenna-lost,1,"), std::string::npos);
+  EXPECT_NE(csv.find("\nA,"), std::string::npos);
+  EXPECT_NE(csv.find("\nR,"), std::string::npos);
 
   const ReaderJournal parsed = ReaderJournal::from_csv(csv);
   EXPECT_EQ(parsed.to_csv(), csv);
 
   ReplayReaderClient replay(parsed);
-  const ExecutionResult first = replay.execute(rounds_spec());
-  ASSERT_FALSE(first.ok());
-  EXPECT_EQ(first.error->kind, ReaderErrorKind::kProtocolError);
-  const ExecutionResult second = replay.execute(rounds_spec());
-  ASSERT_FALSE(second.ok());
-  EXPECT_EQ(second.error->kind, ReaderErrorKind::kAntennaLost);
-  EXPECT_EQ(second.error->antenna, 1u);
-  EXPECT_TRUE(replay.execute(healthy).ok());
+  for (const ReaderErrorKind kind : kinds) {
+    const ExecutionResult r = replay.execute(spec);
+    ASSERT_FALSE(r.ok()) << to_string(kind);
+    EXPECT_EQ(r.error->kind, kind);
+    if (kind == ReaderErrorKind::kAntennaLost) {
+      EXPECT_EQ(r.error->antenna, 1u);
+    }
+  }
+  replay.advance(util::msec(3));
+  EXPECT_TRUE(replay.execute(spec).ok());
 }
 
 TEST(ReaderJournal, ErrorMessagesWithDelimitersAreSanitized) {
@@ -262,11 +290,11 @@ TEST(ReaderJournal, RejectsMalformedErrorRecords) {
 }
 
 TEST(ReaderErrorKind, NameRoundTrip) {
-  for (const ReaderErrorKind kind :
-       {ReaderErrorKind::kTimeout, ReaderErrorKind::kDisconnected,
-        ReaderErrorKind::kProtocolError, ReaderErrorKind::kPartialReport,
-        ReaderErrorKind::kAntennaLost}) {
-    EXPECT_EQ(reader_error_kind_from_string(to_string(kind)), kind);
+  const std::vector<ReaderErrorKind> kinds = all_error_kinds();
+  EXPECT_GE(kinds.size(), 5u);
+  for (const ReaderErrorKind kind : kinds) {
+    EXPECT_EQ(reader_error_kind_from_string(to_string(kind)), kind)
+        << to_string(kind);
   }
   EXPECT_THROW(reader_error_kind_from_string("melted"), std::invalid_argument);
 }

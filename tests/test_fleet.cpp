@@ -285,11 +285,17 @@ TEST(FleetJournal, CsvRoundTripIsExact) {
   journal.push_handoff({util::Epc::from_serial(7), 0, 1,
                         util::SimTime{util::msec(1234).count()}});
   journal.push_cycle({1, 0, "zone-0", 9, 0, 9, 0});
+  journal.push_down({2, 1, "zone-1", 3});
+  journal.push_takeover({2, 1, 0, 4250});
+  journal.push_recover({5, 1, 3});
 
   const std::string csv = journal.to_csv();
+  for (const char* tag : {"\nS,", "\nF,", "\nH,", "\nD,", "\nT,", "\nR,"}) {
+    EXPECT_NE(csv.find(tag), std::string::npos) << tag;
+  }
   const llrp::FleetJournal parsed = llrp::FleetJournal::from_csv(csv);
   EXPECT_EQ(parsed.to_csv(), csv);
-  EXPECT_EQ(parsed.size(), 3u);
+  EXPECT_EQ(parsed.size(), 6u);
   EXPECT_EQ(parsed.setup.readers, 3u);
   EXPECT_EQ(parsed.setup.policy, "per-reader");
   EXPECT_EQ(parsed.setup.session, gen2::Session::kS2);

@@ -17,7 +17,9 @@ std::vector<rf::Antenna> four_antennas() {
           {4, {5, 5, 0}, 8.0}};
 }
 
-/// Generates clean readings of a tag at `pos` from every antenna.
+/// Generates readings of a tag at `pos` from every antenna, with
+/// N(0, noise_sd) phase noise (none at noise_sd = 0: std::normal_distribution
+/// requires sigma > 0).
 std::vector<rf::TagReading> synthetic_readings(
     util::Vec3 pos, const std::vector<rf::Antenna>& antennas,
     const rf::ChannelPlan& plan, std::size_t channel, double tag_phase,
@@ -31,7 +33,7 @@ std::vector<rf::TagReading> synthetic_readings(
     r.channel = channel;
     r.phase_rad = util::wrap_to_2pi(
         -4.0 * std::numbers::pi * d / plan.wavelength_m(channel) + tag_phase +
-        rng.normal(0.0, noise_sd));
+        (noise_sd > 0.0 ? rng.normal(0.0, noise_sd) : 0.0));
     r.timestamp = t;
     out.push_back(r);
   }

@@ -16,7 +16,8 @@ std::vector<rf::Antenna> four_antennas() {
           {4, {5, 5, 0}, 8.0}};
 }
 
-/// Readings of a tag moving at constant velocity, one antenna per step.
+/// Readings of a tag moving at constant velocity, one antenna per step
+/// (noise_sd = 0 draws no noise: std::normal_distribution requires sigma > 0).
 std::vector<rf::TagReading> moving_readings(
     util::Vec3 start, util::Vec3 vel, const std::vector<rf::Antenna>& ants,
     const rf::ChannelPlan& plan, int count, int step_ms, double noise_sd,
@@ -34,7 +35,7 @@ std::vector<rf::TagReading> moving_readings(
     r.phase_rad = util::wrap_to_2pi(
         -4.0 * std::numbers::pi * util::distance(a.position, pos) /
             plan.wavelength_m(0) +
-        0.8 + rng.normal(0.0, noise_sd));
+        0.8 + (noise_sd > 0.0 ? rng.normal(0.0, noise_sd) : 0.0));
     out.push_back(r);
   }
   return out;

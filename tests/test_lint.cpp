@@ -1,8 +1,7 @@
 // The lint rule engine: every rule must trigger on its negative fixture
-// and stay quiet on the conforming one, the allow() hatch must suppress
-// (and be budgeted), and the real tree must lint clean — which is what
-// turns replay determinism from a convention into a machine-checked
-// invariant.
+// and stay quiet on the conforming one, and the real tree must lint clean
+// — which is what turns replay determinism from a convention into a
+// machine-checked invariant.
 #include "lint/lint.hpp"
 
 #include <gtest/gtest.h>
@@ -11,42 +10,33 @@
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "lint/sarif.hpp"
-
 namespace tagwatch::lint {
 namespace {
 
-LintReport run_one(const std::string& path, const std::string& content) {
-  const RuleEngine engine;
-  return engine.run({{path, content}});
+std::vector<Finding> run_one(const std::string& path,
+                             const std::string& content) {
+  return run({{path, content}});
 }
 
-std::vector<std::string> rules_of(const LintReport& report) {
-  std::vector<std::string> rules;
-  for (const Finding& f : report.findings) rules.push_back(f.rule);
-  return rules;
-}
-
-bool has_rule(const LintReport& report, const std::string& rule) {
-  const auto rules = rules_of(report);
-  return std::find(rules.begin(), rules.end(), rule) != rules.end();
+bool has_rule(const std::vector<Finding>& findings, const std::string& rule) {
+  return std::any_of(findings.begin(), findings.end(),
+                     [&rule](const Finding& f) { return f.rule == rule; });
 }
 
 // ------------------------------------------------------- determinism (D)
 
 TEST(LintDeterminism, FlagsWallClockInJournaledPath) {
-  const LintReport r = run_one(
+  const std::vector<Finding> r = run_one(
       "src/core/bad.cpp",
       "#include <chrono>\n"
       "auto t = std::chrono::steady_clock::now();\n");
-  ASSERT_EQ(r.findings.size(), 1u);
-  EXPECT_EQ(r.findings[0].rule, "determinism");
-  EXPECT_EQ(r.findings[0].line, 2u);
+  ASSERT_EQ(r.size(), 1u);
+  EXPECT_EQ(r[0].rule, "determinism");
+  EXPECT_EQ(r[0].line, 2u);
 }
 
 TEST(LintDeterminism, FlagsEveryForbiddenClockAndEntropySource) {
@@ -59,7 +49,7 @@ TEST(LintDeterminism, FlagsEveryForbiddenClockAndEntropySource) {
         "std::chrono::utc_clock::now()", "std::chrono::tai_clock::now()",
         "std::chrono::gps_clock::now()"}) {
     SCOPED_TRACE(bad);
-    const LintReport r =
+    const std::vector<Finding> r =
         run_one("src/gen2/bad.cpp", std::string("auto v = ") + bad + ";\n");
     EXPECT_TRUE(has_rule(r, "determinism"));
   }
@@ -76,23 +66,23 @@ TEST(LintDeterminism, FlagsUnseededMersenneTwister) {
 
 TEST(LintDeterminism, SeededEngineAndReferencesPass) {
   EXPECT_TRUE(run_one("src/sim/ok.cpp", "std::mt19937 gen(seed);\n")
-                  .findings.empty());
+                  .empty());
   EXPECT_TRUE(run_one("src/sim/ok.cpp", "std::mt19937_64 gen{0x5eed};\n")
-                  .findings.empty());
+                  .empty());
   EXPECT_TRUE(run_one("src/sim/ok.cpp", "void f(std::mt19937& gen);\n")
-                  .findings.empty());
+                  .empty());
 }
 
 TEST(LintDeterminism, EverySrcFileOutsideTheWallClockSeamIsInScope) {
   const std::string wall = "auto t = std::chrono::steady_clock::now();\n";
   for (const char* path :
        {"src/core/a.cpp", "src/sim/a.cpp", "src/llrp/a.cpp", "src/gen2/a.cpp",
-        "src/rf/a.cpp", "src/util/x.cpp", "src/trace/a.cpp", "src/track/a.cpp",
-        "src/lint/a.cpp"}) {
+        "src/rf/a.cpp", "src/util/x.cpp", "src/trace/a.cpp",
+        "src/track/a.cpp"}) {
     SCOPED_TRACE(path);
-    const LintReport r = run_one(path, wall);
+    const std::vector<Finding> r = run_one(path, wall);
     ASSERT_TRUE(has_rule(r, "determinism"));
-    EXPECT_NE(r.findings[0].message.find("util::WallClock"),
+    EXPECT_NE(r[0].message.find("util::WallClock"),
               std::string::npos);
   }
   // The WallClock seam is the one sanctioned clock read; tools, tests,
@@ -133,49 +123,48 @@ TEST(LintDeterminism, IndirectCallsCannotHideAClockRead) {
         std::string("  double (*f)() = &util::now_ms;\n"
                     "  last_ms_ = f();\n")}) {
     SCOPED_TRACE(body);
-    const RuleEngine engine;
-    const LintReport r = engine.run(clock_helper_fixture(body));
-    ASSERT_EQ(r.findings.size(), 1u);
-    EXPECT_EQ(r.findings[0].rule, "determinism");
-    EXPECT_EQ(r.findings[0].file, "src/util/time_helpers.cpp");
-    EXPECT_EQ(r.findings[0].line, 4u);
+    const std::vector<Finding> r = run(clock_helper_fixture(body));
+    ASSERT_EQ(r.size(), 1u);
+    EXPECT_EQ(r[0].rule, "determinism");
+    EXPECT_EQ(r[0].file, "src/util/time_helpers.cpp");
+    EXPECT_EQ(r[0].line, 4u);
   }
 }
 
 TEST(LintDeterminism, WordBoundariesAndCommentsDoNotTrigger) {
   // advance_time( and clock_-> are not the forbidden identifiers, and
   // prose in comments/strings never counts.
-  const LintReport r = run_one(
+  const std::vector<Finding> r = run_one(
       "src/core/ok.cpp",
       "// steady_clock would be wrong here\n"
       "const char* s = \"system_clock\";\n"
       "void advance_time(int);\n"
       "auto v = clock_->now_seconds();\n");
-  EXPECT_TRUE(r.findings.empty());
+  EXPECT_TRUE(r.empty());
 }
 
 // ----------------------------------------------------- header hygiene (H)
 
 TEST(LintHeaderHygiene, MissingPragmaOnceIsFlagged) {
-  const LintReport r =
+  const std::vector<Finding> r =
       run_one("src/util/bad.hpp", "#include <vector>\nint x;\n");
   EXPECT_TRUE(has_rule(r, "header-pragma-once"));
 }
 
 TEST(LintHeaderHygiene, CommentBeforePragmaOnceIsFine) {
-  const LintReport r = run_one("src/util/ok.hpp",
+  const std::vector<Finding> r = run_one("src/util/ok.hpp",
                                "// License header prose.\n"
                                "#pragma once\n"
                                "#include <vector>\n");
-  EXPECT_TRUE(r.findings.empty());
+  EXPECT_TRUE(r.empty());
 }
 
 TEST(LintHeaderHygiene, SourcesNeedNoPragmaOnce) {
-  EXPECT_TRUE(run_one("src/util/ok.cpp", "int x;\n").findings.empty());
+  EXPECT_TRUE(run_one("src/util/ok.cpp", "int x;\n").empty());
 }
 
 TEST(LintHeaderHygiene, UsingNamespaceInHeaderIsFlagged) {
-  const LintReport r = run_one("src/util/bad.hpp",
+  const std::vector<Finding> r = run_one("src/util/bad.hpp",
                                "#pragma once\nusing namespace std;\n");
   EXPECT_TRUE(has_rule(r, "header-using-namespace"));
 }
@@ -183,39 +172,39 @@ TEST(LintHeaderHygiene, UsingNamespaceInHeaderIsFlagged) {
 TEST(LintHeaderHygiene, UsingDeclarationAndCppFilesPass) {
   EXPECT_TRUE(run_one("src/util/ok.hpp",
                       "#pragma once\nusing std::vector;\n")
-                  .findings.empty());
+                  .empty());
   EXPECT_TRUE(
-      run_one("tools/ok.cpp", "using namespace tagwatch;\n").findings.empty());
+      run_one("tools/ok.cpp", "using namespace tagwatch;\n").empty());
 }
 
 TEST(LintIncludeOrder, SystemAfterProjectIsFlagged) {
-  const LintReport r = run_one("src/core/bad.cpp",
+  const std::vector<Finding> r = run_one("src/core/bad.cpp",
                                "#include \"core/other.hpp\"\n"
                                "#include <vector>\n");
   ASSERT_TRUE(has_rule(r, "include-order"));
-  EXPECT_EQ(r.findings[0].line, 2u);
+  EXPECT_EQ(r[0].line, 2u);
 }
 
 TEST(LintIncludeOrder, OwnHeaderThenSystemThenProjectPasses) {
-  const LintReport r = run_one("src/core/foo.cpp",
+  const std::vector<Finding> r = run_one("src/core/foo.cpp",
                                "#include \"core/foo.hpp\"\n"
                                "#include <vector>\n"
                                "#include \"util/stats.hpp\"\n");
-  EXPECT_TRUE(r.findings.empty());
+  EXPECT_TRUE(r.empty());
 }
 
 TEST(LintIncludeOrder, HeaderUnderTestLeadsInTestFiles) {
-  const LintReport r = run_one("tests/test_foo.cpp",
+  const std::vector<Finding> r = run_one("tests/test_foo.cpp",
                                "#include \"util/foo.hpp\"\n"
                                "#include <gtest/gtest.h>\n"
                                "#include \"util/other.hpp\"\n");
-  EXPECT_TRUE(r.findings.empty());
+  EXPECT_TRUE(r.empty());
 }
 
 // --------------------------------------------------- pipeline safety (P)
 
 TEST(LintPipelineReentrancy, ExecuteInsideSinkHookIsFlagged) {
-  const LintReport r = run_one(
+  const std::vector<Finding> r = run_one(
       "src/core/bad_sink.cpp",
       "bool BadSink::on_reading(const rf::TagReading& r,\n"
       "                         const ReadingContext&) {\n"
@@ -223,11 +212,11 @@ TEST(LintPipelineReentrancy, ExecuteInsideSinkHookIsFlagged) {
       "  return true;\n"
       "}\n");
   ASSERT_TRUE(has_rule(r, "pipeline-reentrancy"));
-  EXPECT_EQ(r.findings[0].line, 3u);
+  EXPECT_EQ(r[0].line, 3u);
 }
 
 TEST(LintPipelineReentrancy, CycleEndHookIsCoveredToo) {
-  const LintReport r = run_one(
+  const std::vector<Finding> r = run_one(
       "tests/bad_sink.cpp",
       "void BadSink::on_cycle_end(const CycleReport&) {\n"
       "  reader.execute(respec);\n"
@@ -236,7 +225,7 @@ TEST(LintPipelineReentrancy, CycleEndHookIsCoveredToo) {
 }
 
 TEST(LintPipelineReentrancy, ExecuteOutsideHooksAndDeclarationsPass) {
-  const LintReport r = run_one(
+  const std::vector<Finding> r = run_one(
       "src/core/ok.cpp",
       "bool on_reading(const rf::TagReading&, const ReadingContext&) "
       "override;\n"
@@ -245,131 +234,7 @@ TEST(LintPipelineReentrancy, ExecuteOutsideHooksAndDeclarationsPass) {
       "                        const ReadingContext&) {\n"
       "  return executor_.enqueue(r);\n"
       "}\n");
-  EXPECT_TRUE(r.findings.empty());
-}
-
-// -------------------------------------------------- journal discipline (J)
-
-/// A minimal, mutually-consistent journal table set.
-std::vector<SourceFile> journal_fixture() {
-  return {
-      {"src/llrp/reader_client.hpp",
-       "#pragma once\n"
-       "enum class ReaderErrorKind {\n"
-       "  kTimeout,\n"
-       "  kDisconnected,\n"
-       "};\n"},
-      {"src/llrp/reader_client.cpp",
-       "#include \"llrp/reader_client.hpp\"\n"
-       "const char* to_string(ReaderErrorKind kind) {\n"
-       "  switch (kind) {\n"
-       "    case ReaderErrorKind::kTimeout: return \"timeout\";\n"
-       "    case ReaderErrorKind::kDisconnected: return \"disconnected\";\n"
-       "  }\n"
-       "  return \"unknown\";\n"
-       "}\n"
-       "ReaderErrorKind reader_error_kind_from_string(std::string_view n) {\n"
-       "  if (n == \"timeout\") return ReaderErrorKind::kTimeout;\n"
-       "  return ReaderErrorKind::kDisconnected;\n"
-       "}\n"},
-      {"src/core/resilience.hpp",
-       "#pragma once\n"
-       "void count_fault(llrp::ReaderErrorKind kind) {\n"
-       "  switch (kind) {\n"
-       "    case llrp::ReaderErrorKind::kTimeout: break;\n"
-       "    case llrp::ReaderErrorKind::kDisconnected: break;\n"
-       "  }\n"
-       "}\n"},
-      {"src/llrp/reader_journal.cpp",
-       "#include \"llrp/reader_journal.hpp\"\n"
-       "void serialize() { out << \"E,\" << x; out << \"R,\" << y; }\n"
-       "void parse() { if (f[0] == \"E\") {} else if (f[0] == \"R\") {} }\n"},
-      {"src/llrp/fault_injection.cpp",
-       "#include \"llrp/fault_injection.hpp\"\n"
-       "void inject(ReaderErrorKind kind) {\n"
-       "  use(ReaderErrorKind::kTimeout);\n"
-       "  use(ReaderErrorKind::kDisconnected);\n"
-       "}\n"},
-  };
-}
-
-TEST(LintJournalDiscipline, ConsistentTablesPass) {
-  const RuleEngine engine;
-  EXPECT_TRUE(engine.run(journal_fixture()).findings.empty());
-}
-
-TEST(LintJournalDiscipline, NewEnumeratorMustReachEveryTable) {
-  auto files = journal_fixture();
-  // Add a kind to the enum only — serializer, parser, the health digest,
-  // and the fault injector all go stale at once.
-  files[0].content =
-      "#pragma once\n"
-      "enum class ReaderErrorKind {\n"
-      "  kTimeout,\n"
-      "  kDisconnected,\n"
-      "  kBrownout,\n"
-      "};\n";
-  const RuleEngine engine;
-  const LintReport r = engine.run(files);
-  ASSERT_EQ(r.findings.size(), 4u);
-  for (const Finding& f : r.findings) {
-    EXPECT_EQ(f.rule, "journal-discipline");
-    EXPECT_NE(f.message.find("kBrownout"), std::string::npos);
-  }
-}
-
-TEST(LintJournalDiscipline, InjectorMustCoverEveryKind) {
-  auto files = journal_fixture();
-  // The injector loses a kind: the chaos harness can no longer produce it,
-  // and the lint pins the gap to the enum header.
-  files[4].content =
-      "#include \"llrp/fault_injection.hpp\"\n"
-      "void inject(ReaderErrorKind kind) {\n"
-      "  use(ReaderErrorKind::kTimeout);\n"
-      "}\n";
-  const RuleEngine engine;
-  const LintReport r = engine.run(files);
-  ASSERT_EQ(r.findings.size(), 1u);
-  EXPECT_EQ(r.findings[0].rule, "journal-discipline");
-  EXPECT_NE(r.findings[0].message.find("kDisconnected"), std::string::npos);
-  EXPECT_NE(r.findings[0].message.find("never injected"), std::string::npos);
-}
-
-TEST(LintJournalDiscipline, SerializedTagMustBeParsed) {
-  auto files = journal_fixture();
-  files[3].content =
-      "#include \"llrp/reader_journal.hpp\"\n"
-      "void serialize() { out << \"E,\" << x; out << \"Z,\" << y; }\n"
-      "void parse() { if (f[0] == \"E\") {} }\n";
-  const RuleEngine engine;
-  const LintReport r = engine.run(files);
-  ASSERT_EQ(r.findings.size(), 1u);
-  EXPECT_EQ(r.findings[0].rule, "journal-discipline");
-  EXPECT_NE(r.findings[0].message.find("'Z'"), std::string::npos);
-}
-
-TEST(LintJournalDiscipline, ParsedTagMustBeSerialized) {
-  auto files = journal_fixture();
-  files[3].content =
-      "#include \"llrp/reader_journal.hpp\"\n"
-      "void serialize() { out << \"E,\" << x; }\n"
-      "void parse() { if (f[0] == \"E\") {} else if (f[0] == \"Q\") {} }\n";
-  const RuleEngine engine;
-  const LintReport r = engine.run(files);
-  ASSERT_EQ(r.findings.size(), 1u);
-  EXPECT_NE(r.findings[0].message.find("'Q'"), std::string::npos);
-}
-
-// ------------------------------------------------------- allow() hatch
-
-TEST(LintAllow, SameLineAnnotationSuppresses) {
-  const LintReport r = run_one(
-      "src/core/waiver.cpp",
-      "auto t = std::chrono::steady_clock::now();"
-      "  // tagwatch-lint: allow(determinism)\n");
-  EXPECT_TRUE(r.findings.empty());
-  EXPECT_EQ(r.suppressions_used, 1u);
-  EXPECT_EQ(r.allow_annotations, 1u);
+  EXPECT_TRUE(r.empty());
 }
 
 // --------------------------------------------- threading-discipline (T)
@@ -391,7 +256,7 @@ TEST(LintThreading, UnqualifiedNamesAreNotFlagged) {
   // `thread` / `async` are ordinary identifiers without the std:: prefix.
   EXPECT_TRUE(run_one("src/core/ok.cpp",
                       "int thread = 0;\nbool async = launch(thread);\n")
-                  .findings.empty());
+                  .empty());
 }
 
 TEST(LintThreading, FlagsDetachAndExplicitLockCalls) {
@@ -408,17 +273,17 @@ TEST(LintThreading, RaiiGuardsAndNonCallUsesAreNotFlagged) {
   EXPECT_TRUE(run_one("src/core/ok.cpp",
                       "std::lock_guard<std::mutex> guard(mutex_);\n"
                       "std::scoped_lock all(a_, b_);\n")
-                  .findings.empty());
+                  .empty());
   // Member *named* lock but not called; free function detach(x).
   EXPECT_TRUE(run_one("src/core/ok.cpp",
                       "auto fn = obj.lock;\ndetach(worker);\n")
-                  .findings.empty());
+                  .empty());
 }
 
 TEST(LintThreading, TaskPoolFilesAreExempt) {
   const char* body = "std::thread t([] {});\nmutex_.lock();\n";
-  EXPECT_TRUE(run_one("src/util/task_pool.cpp", body).findings.empty());
-  // (has_rule, not findings.empty(): the header rules still apply to a
+  EXPECT_TRUE(run_one("src/util/task_pool.cpp", body).empty());
+  // (has_rule, not empty(): the header rules still apply to a
   // fixture .hpp with no #pragma once — only the T rule is exempt.)
   EXPECT_FALSE(has_rule(run_one("src/util/task_pool.hpp", body),
                         "threading-discipline"));
@@ -428,10 +293,10 @@ TEST(LintThreading, TaskPoolFilesAreExempt) {
 
 TEST(LintThreading, MutexDeclaredOutsideTaskPoolIsFlagged) {
   const char* member = "class Cache {\n  std::mutex mutex_;\n};\n";
-  const LintReport r = run_one("src/core/cache.cpp", member);
-  ASSERT_EQ(r.findings.size(), 1u);
-  EXPECT_EQ(r.findings[0].rule, "threading-discipline");
-  EXPECT_EQ(r.findings[0].line, 2u);
+  const std::vector<Finding> r = run_one("src/core/cache.cpp", member);
+  ASSERT_EQ(r.size(), 1u);
+  EXPECT_EQ(r[0].rule, "threading-discipline");
+  EXPECT_EQ(r[0].line, 2u);
   for (const char* type : {"recursive_mutex", "shared_mutex", "timed_mutex"}) {
     SCOPED_TRACE(type);
     const std::string decl = "static std::" + std::string(type) + " m;\n";
@@ -442,111 +307,27 @@ TEST(LintThreading, MutexDeclaredOutsideTaskPoolIsFlagged) {
 
 TEST(LintThreading, MutexInTaskPoolCommentOrStringIsNotFlagged) {
   const char* member = "class TaskPool {\n  std::mutex mutex_;\n};\n";
-  EXPECT_TRUE(run_one("src/util/task_pool.cpp", member).findings.empty());
+  EXPECT_TRUE(run_one("src/util/task_pool.cpp", member).empty());
   const char* comment = "// a std::mutex member is flagged\n";
-  EXPECT_TRUE(run_one("src/core/cache.cpp", comment).findings.empty());
+  EXPECT_TRUE(run_one("src/core/cache.cpp", comment).empty());
   const char* literal = "const char* s = \"std::mutex m;\";\n";
-  EXPECT_TRUE(run_one("src/core/cache.cpp", literal).findings.empty());
-}
-
-TEST(LintAllow, AnnotationOnLineAboveSuppresses) {
-  const LintReport r = run_one(
-      "src/core/waiver.cpp",
-      "// Justification prose.  tagwatch-lint: allow(determinism)\n"
-      "auto t = std::chrono::steady_clock::now();\n");
-  EXPECT_TRUE(r.findings.empty());
-  EXPECT_EQ(r.suppressions_used, 1u);
-}
-
-TEST(LintAllow, WrongRuleNameDoesNotSuppress) {
-  const LintReport r = run_one(
-      "src/core/waiver.cpp",
-      "auto t = std::chrono::steady_clock::now();"
-      "  // tagwatch-lint: allow(include-order)\n");
-  EXPECT_TRUE(has_rule(r, "determinism"));
-  EXPECT_EQ(r.suppressions_used, 0u);
-}
-
-TEST(LintAllow, UnknownRuleNamesAreNotAnnotations) {
-  // Documentation mentioning the syntax must not eat the budget.
-  const LintReport r = run_one(
-      "docs_like.cpp", "// write tagwatch-lint: allow(<rule>) to waive\n");
-  EXPECT_EQ(r.allow_annotations, 0u);
+  EXPECT_TRUE(run_one("src/core/cache.cpp", literal).empty());
 }
 
 // ------------------------------------------------------------- engine
 
-TEST(LintEngine, RuleNamesAreStable) {
-  const auto& names = RuleEngine::rule_names();
-  const std::vector<std::string> expected = {
-      "determinism",          "header-pragma-once",  "header-using-namespace",
-      "include-order",        "pipeline-reentrancy", "journal-discipline",
-      "threading-discipline"};
-  EXPECT_EQ(names, expected);
-}
-
-TEST(LintEngine, RuleCatalogMatchesNamesAndHasSummaries) {
-  const auto& catalog = RuleEngine::rules();
-  const auto& names = RuleEngine::rule_names();
-  ASSERT_EQ(catalog.size(), names.size());
-  for (std::size_t i = 0; i < catalog.size(); ++i) {
-    EXPECT_EQ(catalog[i].name, names[i]);
-    EXPECT_FALSE(catalog[i].summary.empty());
-  }
-}
-
 TEST(LintEngine, FindingsAreSortedByFileLineRule) {
-  const RuleEngine engine;
-  const LintReport r = engine.run({
+  const std::vector<Finding> r = run({
       {"src/core/z.cpp", "#include \"a.hpp\"\n#include <b>\n"},
       {"src/core/a.cpp",
        "auto t = std::chrono::steady_clock::now();\n"
        "auto u = std::chrono::steady_clock::now();\n"},
   });
-  ASSERT_EQ(r.findings.size(), 3u);
-  EXPECT_EQ(r.findings[0].file, "src/core/a.cpp");
-  EXPECT_EQ(r.findings[0].line, 1u);
-  EXPECT_EQ(r.findings[1].line, 2u);
-  EXPECT_EQ(r.findings[2].file, "src/core/z.cpp");
-}
-
-// --------------------------------------------------------------- SARIF
-
-TEST(LintSarif, EscapesJsonStringBodies) {
-  EXPECT_EQ(json_escape("plain"), "plain");
-  EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
-  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
-  EXPECT_EQ(json_escape("a\nb\tc"), "a\\nb\\tc");
-  EXPECT_EQ(json_escape(std::string(1, '\x01')), "\\u0001");
-}
-
-TEST(LintSarif, LogCarriesSchemaDriverRulesAndResults) {
-  const RuleEngine engine;
-  const LintReport r =
-      engine.run(clock_helper_fixture("  last_ms_ = util::now_ms();\n"));
-  ASSERT_EQ(r.findings.size(), 1u);
-  const std::string sarif = to_sarif(r.findings);
-  EXPECT_NE(sarif.find("\"$schema\": "
-                       "\"https://json.schemastore.org/sarif-2.1.0.json\""),
-            std::string::npos);
-  EXPECT_NE(sarif.find("\"version\": \"2.1.0\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"name\": \"tagwatch_lint\""), std::string::npos);
-  // Every rule appears in the driver block even on a one-finding log.
-  for (const RuleInfo& rule : RuleEngine::rules()) {
-    EXPECT_NE(sarif.find("{\"id\": \"" + rule.name + "\""),
-              std::string::npos);
-  }
-  EXPECT_NE(sarif.find("\"ruleId\": \"determinism\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"uri\": \"src/util/time_helpers.cpp\""),
-            std::string::npos);
-  EXPECT_NE(sarif.find("\"startLine\": 4"), std::string::npos);
-  EXPECT_NE(sarif.find("\"level\": \"error\""), std::string::npos);
-}
-
-TEST(LintSarif, EmptyRunStillListsTheRuleCatalog) {
-  const std::string sarif = to_sarif({});
-  EXPECT_NE(sarif.find("\"results\": ["), std::string::npos);
-  EXPECT_NE(sarif.find("\"id\": \"determinism\""), std::string::npos);
+  ASSERT_EQ(r.size(), 3u);
+  EXPECT_EQ(r[0].file, "src/core/a.cpp");
+  EXPECT_EQ(r[0].line, 1u);
+  EXPECT_EQ(r[1].line, 2u);
+  EXPECT_EQ(r[2].file, "src/core/z.cpp");
 }
 
 // ------------------------------------------------------ tree self-check
@@ -560,7 +341,7 @@ std::string slurp(const std::filesystem::path& p) {
   return buf.str();
 }
 
-/// The linter's own view of the tree, mirroring tools/tagwatch_lint.cpp.
+/// Every .cpp/.hpp under the five project directories, root-relative.
 std::vector<SourceFile> load_tree() {
   namespace fs = std::filesystem;
   const fs::path root = TAGWATCH_SOURCE_DIR;
@@ -584,47 +365,13 @@ std::vector<SourceFile> load_tree() {
   return files;
 }
 
-TEST(LintSelfCheck, RealTreeLintsCleanWithinSuppressionBudget) {
+TEST(LintSelfCheck, RealTreeLintsClean) {
   const std::vector<SourceFile> files = load_tree();
   ASSERT_GT(files.size(), 100u) << "tree walk found suspiciously few files";
-  const RuleEngine engine;
-  const LintReport r = engine.run(files);
-  for (const Finding& f : r.findings) {
+  for (const Finding& f : run(files)) {
     ADD_FAILURE() << f.file << ":" << f.line << ": [" << f.rule << "] "
                   << f.message;
   }
-  // The per-rule allow() budget: every annotation in the tree (fixture
-  // string literals included — they are the current entries) must be
-  // accounted for here, and a new rule starts at zero.  Growing a budget
-  // means editing this table in the same PR that adds the waiver, which
-  // is exactly the review speed bump the hatch is supposed to have.
-  const std::map<std::string, std::size_t> budget = {
-      {"determinism", 2u},    // LintAllow fixture literals above.
-      {"include-order", 1u},  // LintAllow wrong-rule fixture literal.
-  };
-  EXPECT_EQ(r.allow_annotations_by_rule, budget);
-  std::size_t total = 0;
-  for (const auto& [rule, count] : budget) total += count;
-  EXPECT_EQ(r.allow_annotations, total);
-}
-
-TEST(LintSelfCheck, JournalTablesArePresentInRealTree) {
-  // Guards the self-check itself: if these files moved, the J rule would
-  // silently stop checking anything.
-  const std::vector<SourceFile> files = load_tree();
-  auto present = [&files](const char* suffix) {
-    for (const SourceFile& f : files) {
-      if (f.path.size() >= std::string(suffix).size() &&
-          f.path.rfind(suffix) == f.path.size() - std::string(suffix).size()) {
-        return true;
-      }
-    }
-    return false;
-  };
-  EXPECT_TRUE(present("llrp/reader_client.hpp"));
-  EXPECT_TRUE(present("llrp/reader_client.cpp"));
-  EXPECT_TRUE(present("core/resilience.hpp"));
-  EXPECT_TRUE(present("llrp/reader_journal.cpp"));
 }
 
 #endif  // TAGWATCH_SOURCE_DIR
