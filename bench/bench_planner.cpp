@@ -5,17 +5,20 @@
 //
 // Metrics (BENCH_planner.json):
 //   * planning_speedup_at_4096 — lazy over dense greedy cover at 4,096 tags
-//     and 1,024 targets, paired min-of-reps.  FAILS unless the two plans
-//     are equal.
+//     and 1,024 targets, each planning over the same candidate sweep
+//     (BitmaskIndex::candidates_for), paired min-of-reps.  FAILS unless
+//     the two plans are equal.
 //   * planning_cycles_per_sec_at_<n> — IncrementalPlanner::plan_cycle passes
 //     per second on a churning scene, 4k to 1M tags; only planning is
 //     timed, not the churn.  FAILS unless every serial plan equals the
 //     4-thread plan; plans_identical = 1 records the pass.
-//   * incremental_speedup — from-scratch planning over the incremental
-//     planner's amortized per-cycle cost at 65,536 tags.  FAILS unless the
+//   * incremental_speedup — the serial from-scratch reference (index
+//     build, candidate sweep, lazy greedy) over the incremental planner's
+//     amortized per-cycle cost at 65,536 tags.  FAILS unless the
 //     mid-trace and final cycles equal the from-scratch oracle.
-//   * planning_threads_speedup — parallel candidate generation over the
-//     serial sweep (report-only: CI boxes may have a single core).
+//   * planning_threads_speedup — the candidate sweep sharded over 4
+//     threads against the same sweep serially (report-only: CI boxes may
+//     have a single core).
 //
 // TAGWATCH_BENCH_MAX_N caps the largest scene (floor 4,096) so smoke runs
 // stay fast.

@@ -1,97 +1,38 @@
 #include "core/bitmask.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
+#include <unordered_set>
 #include <utility>
 
-#include "util/simd.hpp"
 #include "util/task_pool.hpp"
 
 namespace tagwatch::core {
 
 namespace {
 
-/// Flat open-addressed dedupe table over coverage content hashes: linear
-/// probing, power-of-two capacity, 8-byte slots of (low 32 hash bits,
-/// candidate index) to keep the probe walk cache-friendly.  The caller
-/// confirms every hash match with an exact word compare, so collisions can
-/// cost a compare but never merge distinct coverages.
-class CoverageDedupeTable {
- public:
-  static constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
+/// Hash and equality of candidate rows by coverage, so a dedupe set can
+/// hold row indices into `rows` instead of a second copy of each bitmap.
+/// Transparent: a coverage bitmap probes the set directly.
+struct RowCoverage {
+  using is_transparent = void;
 
-  /// `expected_rows` sizes the table so the common case needs at most one
-  /// growth; the table stays correct (just slower) on any estimate.
-  explicit CoverageDedupeTable(std::size_t expected_rows) {
-    std::size_t capacity = kInitialCapacity;
-    while (capacity * 7 < expected_rows * 10) capacity *= 2;
-    slots_.assign(capacity, {0, kEmpty});
-  }
+  const std::vector<BitmaskCandidate>* rows;
 
-  /// First slot for `hash`; walk with next() until an empty slot or a
-  /// confirmed match.  (Capacity stays below 2^32 slots, so the low 32
-  /// hash bits stored in the slot determine the same position.)
-  std::size_t first(std::size_t hash) const noexcept {
-    return hash & (slots_.size() - 1);
+  const util::IndicatorBitmap& of(std::size_t row) const {
+    return (*rows)[row].coverage;
   }
-  std::size_t next(std::size_t pos) const noexcept {
-    return (pos + 1) & (slots_.size() - 1);
+  const util::IndicatorBitmap& of(const util::IndicatorBitmap& b) const {
+    return b;
   }
-  bool empty_at(std::size_t pos) const noexcept {
-    return slots_[pos].index == kEmpty;
-  }
-  bool hash_matches(std::size_t pos, std::size_t hash) const noexcept {
-    return slots_[pos].hash32 == static_cast<std::uint32_t>(hash);
-  }
-  std::size_t index_at(std::size_t pos) const noexcept {
-    return slots_[pos].index;
-  }
-
-  /// Fills the empty slot found by the probe walk and grows the table when
-  /// it passes 70% load (invalidates previously returned positions).
-  void insert(std::size_t pos, std::size_t hash, std::size_t index) {
-    slots_[pos] = {static_cast<std::uint32_t>(hash),
-                   static_cast<std::uint32_t>(index)};
-    ++used_;
-    if (used_ * 10 >= slots_.size() * 7) grow();
-  }
-
- private:
-  struct Slot {
-    std::uint32_t hash32 = 0;
-    std::uint32_t index = kEmpty;
-  };
-
-  static constexpr std::size_t kInitialCapacity = 4096;
-
-  void grow() {
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(old.size() * 2, {0, kEmpty});
-    for (const Slot& slot : old) {
-      if (slot.index == kEmpty) continue;
-      std::size_t pos = first(slot.hash32);
-      while (!empty_at(pos)) pos = next(pos);
-      slots_[pos] = slot;
-    }
-  }
-
-  std::vector<Slot> slots_;
-  std::size_t used_ = 0;
+  std::size_t operator()(const auto& key) const { return of(key).hash(); }
+  bool operator()(const auto& a, const auto& b) const { return of(a) == of(b); }
 };
 
-/// See BitmaskIndex::set_test_degenerate_dedupe_hash().
-bool g_degenerate_dedupe_hash = false;
+/// Row indices into one output vector, deduplicated by coverage.
+using RowSet = std::unordered_set<std::size_t, RowCoverage, RowCoverage>;
 
 }  // namespace
-
-void BitmaskIndex::set_test_degenerate_dedupe_hash(bool enabled) noexcept {
-  g_degenerate_dedupe_hash = enabled;
-}
-
-bool BitmaskIndex::test_degenerate_dedupe_hash() noexcept {
-  return g_degenerate_dedupe_hash;
-}
 
 std::string Bitmask::to_string() const {
   return "S(" + mask.to_binary_string() + ", " + std::to_string(pointer) +
@@ -122,8 +63,6 @@ BitmaskIndex::BitmaskIndex(std::vector<util::Epc> scene)
       (scene_[i].bits().bit(b) ? ones_[b] : zeros_[b]).set(i);
     }
   }
-  all_ = util::IndicatorBitmap(scene_.size());
-  all_.fill();
 }
 
 util::IndicatorBitmap BitmaskIndex::bitmap_of(
@@ -149,427 +88,72 @@ std::vector<util::Epc> BitmaskIndex::epcs_of(
 }
 
 std::vector<BitmaskCandidate> BitmaskIndex::candidates_for(
-    const util::IndicatorBitmap& targets) const {
-  return candidates_for(targets, nullptr);
-}
-
-std::vector<BitmaskCandidate> BitmaskIndex::candidates_for(
     const util::IndicatorBitmap& targets, util::TaskPool* pool) const {
   if (targets.size() != scene_.size()) {
     throw std::invalid_argument("BitmaskIndex::candidates_for: bitmap size");
   }
-  // Target indices in ascending order — the enumeration order of the
-  // reference.
   std::vector<std::size_t> target_list;
   target_list.reserve(targets.count());
   for (std::size_t t = 0; t < scene_.size(); ++t) {
     if (targets.test(t)) target_list.push_back(t);
   }
 
-  // Serial path: one chunk covering every target is the sweep itself —
-  // no merge needed.  Small target lists stay serial too: below ~2
-  // targets per executor the duplicated cross-chunk probes outweigh the
-  // parallelism.
+  // One contiguous target chunk per executor, each keeping the first
+  // bitmask seen for every coverage among its own rows.
   const std::size_t threads = pool != nullptr ? pool->thread_count() : 1;
-  if (threads <= 1 || target_list.size() < 2 * threads) {
-    std::vector<BitmaskCandidate> out;
-    sweep_target_range(targets, target_list, 0, target_list.size(), out);
-    return out;
-  }
-
-  // Parallel path: contiguous target chunks, one per executor, each swept
-  // with chunk-local dedupe/skip state (see sweep_target_range), then a
-  // serial first-wins merge in chunk order.  Every skip a chunk performs
-  // implies the skipped coverage is already in that chunk's own output,
-  // and the serial sweep's skips imply a prior global emission, so the
-  // merged sequence is byte-identical to the serial sweep's — the same
-  // rows, in the same order, at any chunk count (the determinism contract
-  // the plan-equivalence tests enforce).
-  const std::size_t chunks = std::min(threads, target_list.size());
+  const std::size_t chunks =
+      std::max<std::size_t>(1, std::min(threads, target_list.size()));
   std::vector<std::vector<BitmaskCandidate>> parts(chunks);
-  pool->run(chunks, [&](std::size_t k) {
-    const std::size_t begin = k * target_list.size() / chunks;
-    const std::size_t end = (k + 1) * target_list.size() / chunks;
-    sweep_target_range(targets, target_list, begin, end, parts[k]);
-  });
-
-  std::size_t total = 0;
-  for (const auto& part : parts) total += part.size();
-  std::vector<BitmaskCandidate> out;
-  out.reserve(total);
-  // Dedupe across chunks by coverage content: hash buckets confirmed by
-  // an exact compare (as in the sweep, a collision can cost a compare but
-  // never merge distinct coverages).  First occurrence in chunk order
-  // wins, matching the serial sweep's first-bitmask-seen rule.
-  std::unordered_map<std::size_t, std::vector<std::size_t>> seen;
-  seen.reserve(total);
+  std::vector<RowSet> seen;
+  seen.reserve(chunks);
   for (auto& part : parts) {
-    for (auto& cand : part) {
-      auto& bucket = seen[cand.coverage.hash()];
-      bool duplicate = false;
-      for (const std::size_t i : bucket) {
-        if (out[i].coverage == cand.coverage) {
-          duplicate = true;
-          break;
+    seen.emplace_back(0, RowCoverage{&part}, RowCoverage{&part});
+  }
+  const auto sweep = [&](std::size_t k) {
+    std::vector<BitmaskCandidate>& out = parts[k];
+    util::IndicatorBitmap cover(scene_.size());
+    const std::size_t end = (k + 1) * target_list.size() / chunks;
+    for (std::size_t j = k * target_list.size() / chunks; j < end; ++j) {
+      const util::BitString& anchor = scene_[target_list[j]].bits();
+      for (std::size_t p = 0; p < epc_bits_; ++p) {
+        // Start from all tags and narrow to the anchor's bit at each
+        // position the mask extends over.
+        cover.fill();
+        for (std::size_t l = 1; p + l <= epc_bits_; ++l) {
+          const std::size_t b = p + l - 1;
+          cover.and_with(anchor.bit(b) ? ones_[b] : zeros_[b]);
+          if (!seen[k].contains(cover)) {
+            BitmaskCandidate cand;
+            cand.bitmask.pointer = static_cast<std::uint32_t>(p);
+            cand.bitmask.mask = anchor.substring(p, l);
+            cand.coverage = cover;
+            cand.targets_covered = cover.and_count(targets);
+            out.push_back(std::move(cand));
+            seen[k].insert(out.size() - 1);
+          }
+          if (cover.count() <= 1) break;
         }
       }
-      if (duplicate) continue;
-      bucket.push_back(out.size());
+    }
+  };
+  if (pool != nullptr) {
+    pool->run(chunks, sweep);
+  } else {
+    sweep(0);
+  }
+
+  // Append the later chunks to the first through its dedupe set.  The
+  // first coverage seen in chunk order wins: a coverage's first row in the
+  // earliest chunk that has it is its first row in target order.
+  std::vector<BitmaskCandidate>& out = parts.front();
+  for (std::size_t k = 1; k < chunks; ++k) {
+    for (auto& cand : parts[k]) {
+      if (seen.front().contains(cand.coverage)) continue;
       out.push_back(std::move(cand));
+      seen.front().insert(out.size() - 1);
     }
   }
-  return out;
-}
-
-void BitmaskIndex::sweep_target_range(const util::IndicatorBitmap& targets,
-                                      const std::vector<std::size_t>& target_list,
-                                      std::size_t j_begin, std::size_t j_end,
-                                      std::vector<BitmaskCandidate>& out) const {
-  const std::size_t words = all_.word_count();
-  const std::size_t n_range = j_end - j_begin;
-  // A run emits several rows (one per popcount change), so reserve past
-  // one row per (target, pointer) to keep growth reallocations rare —
-  // but not much past it: the buffer is large enough to come from mmap,
-  // so every page reserved here is a page fault on first touch.
-  out.reserve(n_range * epc_bits_ * 3);
-
-  // Each range target's EPC packed MSB-first into 64-bit words (bit b of
-  // the EPC at bit 63 - b%64 of word b/64).
-  const std::size_t wpe = (epc_bits_ + 63) / 64;
-  std::vector<std::uint64_t> packed(n_range * wpe, 0);
-  for (std::size_t j = 0; j < n_range; ++j) {
-    const util::BitString& bits = scene_[target_list[j_begin + j]].bits();
-    for (std::size_t b = 0; b < epc_bits_; ++b) {
-      if (bits.bit(b)) {
-        packed[j * wpe + b / 64] |= std::uint64_t{1} << (63 - b % 64);
-      }
-    }
-  }
-
-  // max_lcp[j * epc_bits_ + p]: longest common prefix, starting at bit p,
-  // between target j's EPC and any of the (up to 64 nearest) earlier
-  // targets *of this range*.  A run's coverage at (p, l) is a pure
-  // function of (p, l, anchor bits [p, p+l)), so when l <= max_lcp the
-  // identical coverage was already swept — and probed, or skipped for the
-  // same reason — by that earlier target: the probe is a guaranteed
-  // duplicate.  Confining the lookback to the range keeps every skip
-  // justified by this range's own output, which is what lets the parallel
-  // merge reproduce the serial sweep exactly.  The window bound keeps the
-  // precompute O(targets · 64 · bits); a missed prefix match only costs a
-  // redundant probe, never a wrong skip.
-  std::vector<std::uint8_t> max_lcp(n_range * epc_bits_, 0);
-  for (std::size_t j = 1; j < n_range; ++j) {
-    std::uint8_t* row = max_lcp.data() + j * epc_bits_;
-    const std::uint64_t* pj = packed.data() + j * wpe;
-    const std::size_t lo = j > 64 ? j - 64 : 0;
-    for (std::size_t i = lo; i < j; ++i) {
-      const std::uint64_t* pi = packed.data() + i * wpe;
-      std::size_t mismatch = epc_bits_;  // first mismatch at or after p
-      for (std::size_t p = epc_bits_; p-- > 0;) {
-        const std::uint64_t diff = pj[p / 64] ^ pi[p / 64];
-        if ((diff >> (63 - p % 64)) & 1u) mismatch = p;
-        const std::size_t lcp = std::min<std::size_t>(mismatch - p, 255);
-        if (lcp > row[p]) row[p] = static_cast<std::uint8_t>(lcp);
-      }
-    }
-  }
-
-  // Run scratch: the coverage words (kept fully in sync, zero words
-  // included, so materialization is one bulk copy).  Each run starts in a
-  // dense phase — branch-free AND over every word — and switches to a
-  // sparse phase (ascending indices of the nonzero words) once the
-  // popcount drops below one bit per word; the phase is a function of the
-  // popcount alone, so the same coverage is always processed in the same
-  // phase no matter which run reaches it.
-  std::vector<std::uint64_t> w(words, 0);
-  std::vector<std::size_t> active;
-  active.reserve(words);
-  std::size_t cnt = 0;
-  bool sparse = false;
-  const std::size_t sparse_below = words;
-  // Raw pointers hoisted out of the hot loops: the scratch store w[i]
-  // could alias any vector's data pointer, so without these the compiler
-  // must re-resolve source pointers on every iteration.
-  std::uint64_t* const wp = w.data();
-  const std::uint64_t* const twp = targets.word_data();
-
-  // Word indices where `targets` has bits: the |coverage ∩ targets|
-  // accumulation in the dense phase only needs these.
-  std::vector<std::size_t> target_words;
-  for (std::size_t i = 0; i < words; ++i) {
-    if (targets.word(i) != 0) target_words.push_back(i);
-  }
-
-  // Merge rows with identical coverage — first bitmask seen wins, as in
-  // the reference.  The table keys on a content hash of the coverage
-  // words; a hash match is confirmed by an exact compare against the
-  // emitted row.
-  CoverageDedupeTable seen(n_range * epc_bits_ * 4);
-
-  // Four interleaved FNV-1a lanes over the (index, word) pairs of the
-  // nonzero words, folded at the end: a pure function of the coverage
-  // content (identical coverages hash identically no matter which run or
-  // phase produced them — both phases visit nonzero words in ascending
-  // index order), with the multiply dependency chains split so wide
-  // coverages hash at memory speed.  Sparse runs hash only the active
-  // words instead of the whole array.
-  const auto content_hash = [&]() noexcept {
-    if (g_degenerate_dedupe_hash) return std::size_t{0x5eed};
-    std::uint64_t lane[4] = {14695981039346656037ull, 0x9e3779b97f4a7c15ull,
-                             0xc2b2ae3d27d4eb4full, 0x165667b19e3779f9ull};
-    std::size_t k = 0;
-    const auto mix = [&](std::size_t idx) noexcept {
-      lane[k % 4] = (lane[k % 4] ^ idx) * 1099511628211ull;
-      lane[k % 4] = (lane[k % 4] ^ wp[idx]) * 1099511628211ull;
-      ++k;
-    };
-    if (sparse) {
-      for (const std::size_t idx : active) mix(idx);
-    } else {
-      for (std::size_t i = 0; i < words; ++i) {
-        if (wp[i] != 0) mix(i);
-      }
-    }
-    std::uint64_t h = lane[0];
-    for (int n = 1; n < 4; ++n) h = (h ^ lane[n]) * 1099511628211ull;
-    return static_cast<std::size_t>(h);
-  };
-
-  // Exact compare of the scratch coverage against an emitted row.  Sparse
-  // phase: equal popcounts plus equal active words imply the zero words
-  // match too.
-  const auto same_coverage = [&](const util::IndicatorBitmap& cov) noexcept {
-    if (cov.count() != cnt) return false;
-    const std::uint64_t* const cw = cov.word_data();
-    if (sparse) {
-      for (const std::size_t idx : active) {
-        if (cw[idx] != wp[idx]) return false;
-      }
-      return true;
-    }
-    for (std::size_t i = 0; i < words; ++i) {
-      if (cw[i] != wp[i]) return false;
-    }
-    return true;
-  };
-
-  // Dedupe-probe the scratch coverage; materializes and appends a new row
-  // unless an identical coverage was already emitted.
-  const auto probe = [&](std::size_t t, std::size_t p, std::size_t l) {
-    const std::size_t h = content_hash();
-    std::size_t pos = seen.first(h);
-    while (!seen.empty_at(pos)) {
-      if (seen.hash_matches(pos, h) &&
-          same_coverage(out[seen.index_at(pos)].coverage)) {
-        return;  // duplicate coverage: keep the first bitmask seen
-      }
-      pos = seen.next(pos);
-    }
-    BitmaskCandidate cand;
-    cand.bitmask.pointer = static_cast<std::uint32_t>(p);
-    cand.bitmask.mask = scene_[t].bits().substring(p, l);
-    // `w` only ever holds tail-masked words ANDed together and `cnt` is the
-    // sweep's incrementally maintained popcount, so the trusted overloads'
-    // preconditions hold.
-    if (sparse) {
-      cand.coverage.assign_words_sparse(scene_.size(), w.data(), active.data(),
-                                        active.size(), cnt);
-    } else {
-      cand.coverage.assign_words(scene_.size(), w.data(), cnt);
-    }
-    const std::vector<std::size_t>& idxs = sparse ? active : target_words;
-    cand.targets_covered =
-        util::simd::gather_and_popcount(wp, twp, idxs.data(), idxs.size());
-    seen.insert(pos, h, out.size());
-    out.push_back(std::move(cand));
-  };
-
-  // first_probed[2p + bit]: the length-1 coverage at pointer p with that
-  // bit value has been probed once — every later run reaching it again is
-  // a guaranteed duplicate.
-  std::vector<std::uint8_t> first_probed(2 * epc_bits_, 0);
-  std::vector<std::uint8_t> anchor_bits(epc_bits_, 0);
-  // Column word pointers of the current fused skip-region pass.
-  std::vector<const std::uint64_t*> cols(epc_bits_, nullptr);
-
-  for (std::size_t j = 0; j < n_range; ++j) {
-    const std::size_t t = target_list[j_begin + j];
-    const std::uint64_t* pj = packed.data() + j * wpe;
-    for (std::size_t b = 0; b < epc_bits_; ++b) {
-      anchor_bits[b] = (pj[b / 64] >> (63 - b % 64)) & 1u;
-    }
-    const std::uint8_t* lcp_row = max_lcp.data() + j * epc_bits_;
-    // Every coverage in this target's runs contains the anchor, so the
-    // run's terminal singleton is always {t}: probe it once, then skip.
-    bool singleton_probed = false;
-    for (std::size_t p = 0; p < epc_bits_; ++p) {
-      const std::size_t max_l = epc_bits_ - p;
-      const std::size_t L = std::min<std::size_t>(lcp_row[p], max_l);
-      // An earlier target shares this run's entire suffix: every coverage
-      // of the run (head included) is a guaranteed duplicate, so skip the
-      // run without sweeping it.  (The head's first_probed flag was set
-      // down the sharing chain, and a singleton cannot occur inside a
-      // shared prefix — the prefix-sharing target would be in the
-      // coverage.)
-      if (L >= max_l) continue;
-
-      const bool bit_p = anchor_bits[p] != 0;
-      const util::IndicatorBitmap& head = bit_p ? ones_[p] : zeros_[p];
-      const std::size_t head_cnt = head.count();
-
-      // Loads the head tag set into the scratch state; only needed when a
-      // head probe actually fires — extensions read the head directly.
-      const auto load_head = [&] {
-        cnt = head_cnt;
-        sparse = cnt < sparse_below;
-        const std::uint64_t* const hw = head.word_data();
-        std::copy(hw, hw + words, wp);
-        if (sparse) {
-          active.resize(words);
-          active.resize(util::simd::nonzero_indices(wp, words, active.data()));
-        }
-      };
-
-      // l = 1: the coverage IS the per-bit-position tag set.
-      if (head_cnt == 1) {
-        if (!singleton_probed) {
-          singleton_probed = true;
-          load_head();
-          probe(t, p, 1);
-        }
-        continue;  // a singleton cannot change with a longer mask
-      }
-      if (first_probed[2 * p + (bit_p ? 1 : 0)] == 0) {
-        first_probed[2 * p + (bit_p ? 1 : 0)] = 1;
-        load_head();
-        probe(t, p, 1);
-      }
-      if (max_l < 2) continue;
-
-      // Fused sweep through l = 2..l_end in one pass, starting from the
-      // head words directly and ANDing every column of the region.  For
-      // l_end == L this is the lcp skip region: no probe can fire and no
-      // singleton can occur there, so per-step popcounts and phase
-      // transitions are unnecessary — one popcount at the region end
-      // re-establishes the phase.  For L < 2 it degenerates to the plain
-      // first extension.
-      const std::size_t l_end = L >= 2 ? L : 2;
-      std::size_t n_cols = 0;
-      for (std::size_t l = 2; l <= l_end; ++l) {
-        const std::size_t b = p + l - 1;
-        cols[n_cols++] =
-            (anchor_bits[b] != 0 ? ones_[b] : zeros_[b]).word_data();
-      }
-      cnt = util::simd::fused_and_columns(wp, head.word_data(), cols.data(),
-                                          n_cols, words);
-      sparse = cnt < sparse_below;
-      if (sparse) {
-        active.resize(words);
-        active.resize(util::simd::nonzero_indices(wp, words, active.data()));
-      }
-      if (L < 2) {
-        // Normal probe logic for the first extension (l = 2).
-        if (cnt != head_cnt) {
-          if (cnt == 1) {
-            if (!singleton_probed) {
-              singleton_probed = true;
-              probe(t, p, 2);
-            }
-            continue;  // stop extending: longer masks cover {t} as well
-          }
-          probe(t, p, 2);
-        }
-      }
-      // else: l_end == L, still inside the skip region — nothing to probe
-      // and cnt >= 2 is guaranteed.
-
-      for (std::size_t l = l_end + 1; p + l <= epc_bits_; ++l) {
-        const std::size_t b = p + l - 1;
-        const util::IndicatorBitmap& step =
-            anchor_bits[b] != 0 ? ones_[b] : zeros_[b];
-        // Extend the previous (p, l-1) coverage.  Dense phase: branch-free
-        // AND + popcount over every word.  Sparse phase: AND only the
-        // active words, compacting out (and zeroing) the ones that drop
-        // to zero.
-        const std::size_t prev_cnt = cnt;
-        const std::uint64_t* const sw = step.word_data();
-        if (!sparse) {
-          cnt = util::simd::and_inplace_popcount(wp, sw, words);
-          if (cnt < sparse_below) {
-            sparse = true;
-            active.resize(words);
-            active.resize(
-                util::simd::nonzero_indices(wp, words, active.data()));
-          }
-        } else {
-          std::size_t kept = 0;
-          cnt = 0;
-          for (const std::size_t idx : active) {
-            const std::uint64_t v = wp[idx] & sw[idx];
-            wp[idx] = v;
-            if (v != 0) {
-              active[kept++] = idx;
-              cnt += static_cast<std::size_t>(std::popcount(v));
-            }
-          }
-          active.resize(kept);
-        }
-        // Unchanged popcount within a run means the coverage is identical
-        // to the previous extension's (AND only removes bits): a
-        // guaranteed duplicate, no probe needed.  Probes at l <= L were
-        // already handled structurally by the fused skip-region pass.
-        if (cnt == prev_cnt) continue;
-        if (cnt == 1) {
-          if (!singleton_probed) {
-            singleton_probed = true;
-            probe(t, p, l);
-          }
-          break;  // stop extending: longer masks cover {t} as well
-        }
-        probe(t, p, l);
-      }
-    }
-  }
-}
-
-std::vector<BitmaskCandidate> BitmaskIndex::candidates_for_reference(
-    const util::IndicatorBitmap& targets) const {
-  if (targets.size() != scene_.size()) {
-    throw std::invalid_argument(
-        "BitmaskIndex::candidates_for_reference: bitmap size");
-  }
-  std::vector<BitmaskCandidate> out;
-  // Keep the first bitmask seen for each distinct coverage bitmap.
-  std::unordered_map<util::IndicatorBitmap, std::size_t> seen;
-
-  for (std::size_t t = 0; t < scene_.size(); ++t) {
-    if (!targets.test(t)) continue;
-    const util::Epc& anchor = scene_[t];
-    for (std::size_t p = 0; p < epc_bits_; ++p) {
-      util::IndicatorBitmap cover(scene_.size());
-      // Rebuild from "all tags" one bit at a time and narrow by
-      // subtracting the complement of each EPC-bit tag set.
-      for (std::size_t i = 0; i < scene_.size(); ++i) cover.set(i);
-      for (std::size_t l = 1; p + l <= epc_bits_; ++l) {
-        const std::size_t b = p + l - 1;
-        const util::IndicatorBitmap& complement =
-            anchor.bits().bit(b) ? zeros_[b] : ones_[b];
-        cover.subtract(complement);
-
-        if (!seen.contains(cover)) {
-          BitmaskCandidate cand;
-          cand.bitmask.pointer = static_cast<std::uint32_t>(p);
-          cand.bitmask.mask = anchor.bits().substring(p, l);
-          cand.coverage = cover;
-          cand.targets_covered = cover.and_count(targets);
-          seen.emplace(cover, out.size());
-          out.push_back(std::move(cand));
-        }
-        if (cover.count() <= 1) break;
-      }
-    }
-  }
-  return out;
+  return std::move(out);
 }
 
 }  // namespace tagwatch::core

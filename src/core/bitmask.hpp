@@ -6,7 +6,8 @@
 // bitmap over the scene (bit i set ⇔ tag i covered).  Enumeration uses an
 // incremental-AND sweep: for a fixed target and pointer, extending the mask
 // by one bit intersects the coverage with the per-bit-position tag sets,
-// so the whole table costs O(n'·L²) word-ANDs instead of re-matching EPCs.
+// so the whole table costs O(n'·L²) bitmap ANDs of ⌈n/64⌉ words each
+// instead of re-matching EPCs.
 #pragma once
 
 #include <string>
@@ -73,70 +74,27 @@ class BitmaskIndex {
   /// Enumerates candidate bitmasks anchored at the EPCs of `targets`
   /// (rows covering at least one target; identical-coverage rows merged,
   /// keeping the first bitmask seen — Fig. 10's table preprocessing).
-  /// For each (target, pointer) the sweep stops once coverage collapses to
-  /// a single tag: longer masks have identical coverage.
+  /// Rows come in (target ascending, pointer, length) order.  For each
+  /// (target, pointer) the sweep starts from all tags and ANDs in one
+  /// per-bit-position tag set per mask bit, stopping once coverage
+  /// collapses to a single tag: longer masks have identical coverage.
   ///
-  /// Large-scene fast path: each (target, pointer) run word-copies the
-  /// per-bit-position tag set of its first mask bit and extends the mask
-  /// one bit at a time with an AND over only the still-nonzero coverage
-  /// words (the active set shrinks as coverage narrows).  Rows are
-  /// deduplicated via a 64-bit content hash in a flat open-addressed
-  /// table (hash match → exact word compare, so collisions cannot merge
-  /// distinct rows); extensions that provably reproduce an already-probed
-  /// coverage — unchanged popcount within a run, a repeated singleton, a
-  /// repeated first extension — skip the probe outright.  Total cost is
-  /// O(n'·L·(n/64 + L·a)) word operations for n' targets, L EPC bits,
-  /// n tags, and a the mean active-word count (≤ n/64, ~min(n/64, |V|)).
+  /// `pool` shards the sweep into one contiguous target chunk per
+  /// executor, each deduplicated locally, then merges the chunks in order
+  /// keeping the first coverage seen; a null pool is a single chunk.  The
+  /// output — rows, order, bitmasks, counts — is identical at any thread
+  /// count.
   std::vector<BitmaskCandidate> candidates_for(
-      const util::IndicatorBitmap& targets) const;
-
-  /// Parallel candidates_for(): shards the per-target sweep into one
-  /// contiguous target chunk per pool executor, each swept with
-  /// chunk-local dedupe/skip state, then merges the chunk outputs
-  /// serially in chunk order (first coverage seen wins).  The output —
-  /// rows, order, bitmasks, counts — is byte-identical to the serial
-  /// overload at any thread count; a null pool (or a single-executor
-  /// pool) degenerates to the serial sweep.
-  std::vector<BitmaskCandidate> candidates_for(
-      const util::IndicatorBitmap& targets, util::TaskPool* pool) const;
-
-  /// Reference implementation of candidates_for(): rebuilds every coverage
-  /// bitmap bit-by-bit from "all tags".  Kept as the oracle for the
-  /// differential tests; output (order included) is identical to the fast
-  /// path.
-  std::vector<BitmaskCandidate> candidates_for_reference(
-      const util::IndicatorBitmap& targets) const;
-
-  /// Test-only: while enabled, every candidates_for() dedupe probe hashes
-  /// to the same constant, so every row lands in one collision chain and
-  /// dedupe correctness rests entirely on the exact word compare that
-  /// confirms each hash hit.  Differential tests flip this on to prove a
-  /// hash collision can never merge two distinct coverages (the guard a
-  /// hash-only table would silently lack).  Not thread-safe; never enable
-  /// outside tests.
-  static void set_test_degenerate_dedupe_hash(bool enabled) noexcept;
-  static bool test_degenerate_dedupe_hash() noexcept;
+      const util::IndicatorBitmap& targets,
+      util::TaskPool* pool = nullptr) const;
 
  private:
-  /// The candidate sweep over targets [j_begin, j_end) of `target_list`
-  /// (ascending scene indices), appending rows to `out`.  All skip state —
-  /// the max_lcp lookback window, first-probe flags, and the dedupe table
-  /// — is local to the range, so every skipped probe's coverage is
-  /// guaranteed to be in `out` already; that property is what makes the
-  /// parallel chunk merge reproduce the serial sweep exactly.
-  void sweep_target_range(const util::IndicatorBitmap& targets,
-                          const std::vector<std::size_t>& target_list,
-                          std::size_t j_begin, std::size_t j_end,
-                          std::vector<BitmaskCandidate>& out) const;
-
   std::vector<util::Epc> scene_;
   std::unordered_map<util::Epc, std::size_t> position_;
   std::size_t epc_bits_ = 0;
   /// ones_[b]: tags whose EPC bit b is 1; zeros_[b]: complement.
   std::vector<util::IndicatorBitmap> ones_;
   std::vector<util::IndicatorBitmap> zeros_;
-  /// All scene bits set; the word-copy seed of every candidate run.
-  util::IndicatorBitmap all_;
 };
 
 }  // namespace tagwatch::core

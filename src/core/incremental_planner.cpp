@@ -193,8 +193,8 @@ void IncrementalPlanner::materialize(Scratch& s, std::size_t p,
   s.count = util::simd::fused_and_columns(s.words.data(), present_.data(),
                                           s.col_ptrs.data(), d, cap_words_);
   s.active.resize(cap_words_);
-  s.active.resize(util::simd::nonzero_indices_u32(s.words.data(), cap_words_,
-                                                  s.active.data()));
+  s.active.resize(util::simd::nonzero_indices(s.words.data(), cap_words_,
+                                              s.active.data()));
 }
 
 void IncrementalPlanner::scratch_and_column(Scratch& s,

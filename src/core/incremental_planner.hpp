@@ -22,16 +22,15 @@
 //     all (a materialized candidate table at 1M tags would need >100 GB).
 //
 //   * Plans are provably plan-equivalent to the from-scratch oracle
-//     (GreedyCoverScheduler over BitmaskIndex::candidates_for /
-//     candidates_for_reference).  The oracle enumerates runs in (target
-//     rank, pointer, length) order with global first-coverage-seen
-//     dedupe; equal-coverage rows here instead coexist and the greedy
-//     breaks gain ties by the key (min-anchor EPC, pointer, d) — the
-//     exact first-emission order — so the tied winner, its mask bits,
-//     and every accumulated double match the oracle bit for bit, and
-//     duplicates are dead weight the greedy can never select (their
-//     remaining gain is zero once the winner is taken).  Differential
-//     churn tests enforce this every cycle.
+//     (GreedyCoverScheduler over BitmaskIndex::candidates_for).  The
+//     oracle enumerates runs in (target rank, pointer, length) order with
+//     global first-coverage-seen dedupe; equal-coverage rows here instead
+//     coexist and the greedy breaks gain ties by the key (min-anchor EPC,
+//     pointer, d) — the exact first-emission order — so the tied winner,
+//     its mask bits, and every accumulated double match the oracle bit
+//     for bit, and duplicates are dead weight the greedy can never select
+//     (their remaining gain is zero once the winner is taken).
+//     Differential churn tests enforce this every cycle.
 //
 //   * Past a configurable churn threshold (fraction of the scene changed
 //     in one cycle), incremental maintenance stops paying off and the

@@ -172,29 +172,20 @@ Schedule GreedyCoverScheduler::greedy_lazy(
   return plan;
 }
 
-Schedule GreedyCoverScheduler::plan(
-    const BitmaskIndex& index, const util::IndicatorBitmap& targets) const {
-  return plan(index, targets, nullptr);
-}
-
 Schedule GreedyCoverScheduler::plan(const BitmaskIndex& index,
                                     const util::IndicatorBitmap& targets,
                                     util::TaskPool* pool) const {
   if (targets.none()) {
     throw std::invalid_argument("GreedyCoverScheduler::plan: no targets");
   }
-  // kDense runs the pre-fast-path pipeline end to end (bit-by-bit candidate
-  // rebuild + full rescan); kLazy the word-parallel incremental one.  Both
-  // produce the same candidates and the same plan.  The pool only
-  // parallelizes candidate generation, which is deterministic at any
-  // thread count, so the plan is pool-independent too.
-  Schedule plan;
-  if (evaluation_ == GreedyEvaluation::kDense) {
-    plan = greedy_dense(index, index.candidates_for_reference(targets),
-                        targets);
-  } else {
-    plan = greedy_lazy(index, index.candidates_for(targets, pool), targets);
-  }
+  // Both evaluations run over the same candidate table and produce the
+  // same plan.  The pool only shards candidate generation, which is
+  // identical at any thread count, so the plan is pool-independent too.
+  const std::vector<BitmaskCandidate> candidates =
+      index.candidates_for(targets, pool);
+  Schedule plan = evaluation_ == GreedyEvaluation::kDense
+                      ? greedy_dense(index, candidates, targets)
+                      : greedy_lazy(index, candidates, targets);
 
   // Worst-case guard: if the "optimal" selection costs more than reading
   // each target individually, take the naive plan (§5.2).

@@ -8,7 +8,8 @@
 // against the naive plan (one full-EPC bitmask per target); if the naive
 // plan is cheaper, it is used instead — the paper's worst-case guard.
 //
-// Two evaluation strategies produce the same plan:
+// Two evaluation strategies over the same candidate table
+// (BitmaskIndex::candidates_for) produce the same plan:
 //
 //  * kLazy (default) — lazy-greedy over a max-heap of possibly-stale
 //    gains.  Because the gain |V_i & V| / C(|V_i|) is submodular in the
@@ -18,8 +19,8 @@
 //    true argmax.  Each round touches a handful of candidates instead of
 //    all m: O(k·(n/64 + log m)) per round for k re-evaluations.
 //  * kDense — the reference full rescan: every round recomputes every
-//    candidate's gain, O(m·n/64) per round.  Kept as the differential-test
-//    oracle and for pathological inputs where heap churn is not worth it.
+//    candidate's gain, O(m·n/64) per round.  Kept as the lazy heap's
+//    differential-test oracle.
 #pragma once
 
 #include <vector>
@@ -31,7 +32,7 @@ namespace tagwatch::core {
 
 /// How GreedyCoverScheduler::plan evaluates candidate gains per round.
 enum class GreedyEvaluation {
-  kLazy,   ///< Lazy-greedy max-heap with re-evaluate-on-pop (fast path).
+  kLazy,   ///< Lazy-greedy max-heap with re-evaluate-on-pop.
   kDense,  ///< Full rescan of all candidates per round (reference).
 };
 
@@ -60,16 +61,11 @@ class GreedyCoverScheduler {
       : cost_model_(cost_model), evaluation_(evaluation) {}
 
   /// Plans bitmasks covering all of `targets` over `index`'s scene.
-  /// `targets` must be non-empty.  The plan is independent of the
-  /// configured evaluation strategy.
-  Schedule plan(const BitmaskIndex& index,
-                const util::IndicatorBitmap& targets) const;
-
-  /// plan() with candidate generation sharded across `pool` (see
-  /// BitmaskIndex::candidates_for).  The plan is byte-identical to the
-  /// serial overload at any thread count; a null pool is the serial path.
+  /// `targets` must be non-empty.  `pool` shards candidate generation
+  /// (see BitmaskIndex::candidates_for).  The plan is independent of the
+  /// configured evaluation strategy and of the pool.
   Schedule plan(const BitmaskIndex& index, const util::IndicatorBitmap& targets,
-                util::TaskPool* pool) const;
+                util::TaskPool* pool = nullptr) const;
 
   /// The naive plan: one full-EPC bitmask per target (§5.2's worst case).
   Schedule naive_plan(const BitmaskIndex& index,

@@ -61,9 +61,9 @@ struct PlannerConfig {
   /// over scene size) above which the incremental planner rebuilds its
   /// structure from scratch instead of patching it.
   double churn_threshold = 0.15;
-  /// Worker threads of Phase-II candidate generation: BitmaskIndex
-  /// candidate sweeps and incremental-planner rebuilds shard across a
-  /// shared pool of this size.  Any value produces bit-identical plans
+  /// Worker threads of Phase-II candidate generation: the from-scratch
+  /// BitmaskIndex::candidates_for sweep and incremental-planner rebuilds
+  /// shard across a shared pool of this size.  Any value produces bit-identical plans
   /// and journal digests (enforced by differential tests); raising it
   /// only buys planning throughput on large scenes.
   std::size_t threads = 1;
@@ -81,9 +81,10 @@ struct TagwatchConfig {
   /// measurements (bench_irr_model) or take the paper's values.
   InventoryCostModel cost_model = InventoryCostModel::paper_fit();
   ScheduleMode mode = ScheduleMode::kGreedyCover;
-  /// Gain-evaluation strategy of the greedy cover under kGreedyCover.
-  /// kLazy is the large-scene fast path; kDense the full-rescan reference.
-  /// Both produce identical plans (enforced by differential tests).
+  /// Gain-evaluation strategy of the from-scratch greedy cover
+  /// (planner.incremental = false): kLazy is the lazy-greedy heap, kDense
+  /// the full-rescan reference.  Both run over the same candidate table
+  /// and produce identical plans (enforced by differential tests).
   GreedyEvaluation greedy_evaluation = GreedyEvaluation::kLazy;
   /// Fixed Phase II length (paper: 5 seconds).
   util::SimDuration phase2_duration = util::sec(5);

@@ -28,64 +28,6 @@ void IndicatorBitmap::set(std::size_t i, bool value) {
   }
 }
 
-void IndicatorBitmap::assign_words(std::size_t size,
-                                   const std::uint64_t* words) {
-  const std::size_t n_words = (size + 63) / 64;
-  if (words == words_.data()) {
-    // Self-assign: the source range overlaps the destination, and
-    // vector::assign from internal iterators is UB once it reallocates.
-    // The bits are already in place — only the size/tail/count change.
-    words_.resize(n_words);
-  } else {
-    words_.assign(words, words + n_words);
-  }
-  size_ = size;
-  const std::size_t tail = size_ % 64;
-  if (tail != 0 && !words_.empty()) {
-    words_.back() &= (std::uint64_t{1} << tail) - 1;
-  }
-  count_ = simd::popcount_words(words_.data(), words_.size());
-}
-
-void IndicatorBitmap::assign_words(std::size_t size,
-                                   const std::uint64_t* words,
-                                   std::size_t count) {
-  if (words == words_.data()) {
-    words_.resize((size + 63) / 64);
-  } else {
-    words_.assign(words, words + (size + 63) / 64);
-  }
-  size_ = size;
-  count_ = count;
-}
-
-void IndicatorBitmap::assign_words_sparse(std::size_t size,
-                                          const std::uint64_t* words,
-                                          const std::size_t* idx,
-                                          std::size_t n_idx,
-                                          std::size_t count) {
-  const std::size_t n_words = (size + 63) / 64;
-  if (words == words_.data()) {
-    // Self-assign: zero-filling first would destroy the source words the
-    // idx list still has to read (the cached popcount then silently
-    // drifts from the actual bits).  Keep the listed words, zero the rest.
-    words_.resize(n_words, 0);
-    std::size_t k = 0;
-    for (std::size_t i = 0; i < n_words; ++i) {
-      if (k < n_idx && idx[k] == i) {
-        ++k;
-      } else {
-        words_[i] = 0;
-      }
-    }
-  } else {
-    words_.resize(n_words);
-    simd::scatter_words(words_.data(), words, idx, n_idx, n_words);
-  }
-  size_ = size;
-  count_ = count;
-}
-
 void IndicatorBitmap::clear() {
   for (auto& w : words_) w = 0;
   count_ = 0;

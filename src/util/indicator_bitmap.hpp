@@ -42,34 +42,6 @@ class IndicatorBitmap {
   /// hot loops hoist the pointer instead of re-resolving it per word.
   const std::uint64_t* word_data() const noexcept { return words_.data(); }
 
-  /// Mutable overload for bulk writers that maintain the count invariant
-  /// themselves (the trusted assign_words overloads document the
-  /// contract); prefer the const overload everywhere else.
-  std::uint64_t* word_data() noexcept { return words_.data(); }
-
-  /// Rebuilds the bitmap as `size` bits copied from the ⌈size/64⌉ words at
-  /// `words` (tail bits masked, popcount recomputed) — the bulk
-  /// materialization step of the candidate sweep.  `words` may alias the
-  /// bitmap's own backing array (all three assign overloads detect
-  /// self-assignment and keep the cached popcount exact instead of
-  /// copying through a vector::assign whose source they are clobbering).
-  void assign_words(std::size_t size, const std::uint64_t* words);
-
-  /// assign_words with a caller-supplied popcount of the source words.
-  /// Precondition: `count` is exact and bits past `size` are already zero
-  /// (the candidate sweep maintains both invariants); violating either
-  /// corrupts the count()/== cache.
-  void assign_words(std::size_t size, const std::uint64_t* words,
-                    std::size_t count);
-
-  /// Sparse assign_words: zero-fills, then copies only `words[idx]` for the
-  /// `n_idx` indices at `idx` — the materialization step for coverages with
-  /// few nonzero words.  Preconditions as for the trusted assign_words,
-  /// plus: `idx` lists (at least) every nonzero word index, ascending.
-  void assign_words_sparse(std::size_t size, const std::uint64_t* words,
-                           const std::size_t* idx, std::size_t n_idx,
-                           std::size_t count);
-
   /// Clears every bit.
   void clear();
 

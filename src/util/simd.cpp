@@ -69,39 +69,13 @@ std::size_t fused_and_columns(std::uint64_t* dst, const std::uint64_t* head,
   return total;
 }
 
-std::size_t gather_and_popcount(const std::uint64_t* a, const std::uint64_t* b,
-                                const std::size_t* idx,
-                                std::size_t n_idx) noexcept {
-  std::size_t total = 0;
-  for (std::size_t k = 0; k < n_idx; ++k) {
-    total += static_cast<std::size_t>(std::popcount(a[idx[k]] & b[idx[k]]));
-  }
-  return total;
-}
-
 std::size_t nonzero_indices(const std::uint64_t* w, std::size_t n,
-                            std::size_t* out) noexcept {
-  std::size_t m = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (w[i] != 0) out[m++] = i;
-  }
-  return m;
-}
-
-std::size_t nonzero_indices_u32(const std::uint64_t* w, std::size_t n,
-                                std::uint32_t* out) noexcept {
+                            std::uint32_t* out) noexcept {
   std::size_t m = 0;
   for (std::size_t i = 0; i < n; ++i) {
     if (w[i] != 0) out[m++] = static_cast<std::uint32_t>(i);
   }
   return m;
-}
-
-void scatter_words(std::uint64_t* dst, const std::uint64_t* src,
-                   const std::size_t* idx, std::size_t n_idx,
-                   std::size_t n_words) noexcept {
-  for (std::size_t i = 0; i < n_words; ++i) dst[i] = 0;
-  for (std::size_t k = 0; k < n_idx; ++k) dst[idx[k]] = src[idx[k]];
 }
 
 }  // namespace tagwatch::util::simd

@@ -2,10 +2,10 @@
 //
 // Portable loops over 64-bit word arrays: pure integer AND/OR/ANDNOT and
 // popcount, so every result is exact and independent of the compiler's
-// vectorization choices.  The indicator bitmaps, the candidate sweep and
-// the incremental planner share these ten kernels instead of each
-// open-coding its own word loop; tests/test_simd.cpp checks each one
-// against a per-bit reference.
+// vectorization choices.  The indicator bitmaps and the incremental
+// planner share these seven kernels instead of each open-coding its own
+// word loop; tests/test_simd.cpp checks each one against a per-bit
+// reference.
 #pragma once
 
 #include <cstddef>
@@ -42,36 +42,18 @@ std::size_t or_inplace_added(std::uint64_t* dst, const std::uint64_t* src,
                              std::size_t n) noexcept;
 
 /// dst[i] = head[i] & cols[0][i] & … & cols[n_cols-1][i]; returns the
-/// popcount of dst.  The fused multi-column AND of the candidate sweep's
-/// skip region and the incremental planner's coverage materialization.
+/// popcount of dst.  The fused multi-column AND of the incremental
+/// planner's coverage materialization.
 /// Columns are ANDed in order with an early-zero cut (results identical
 /// either way — AND is monotone).  `dst` may alias `head`, never a column.
 std::size_t fused_and_columns(std::uint64_t* dst, const std::uint64_t* head,
                               const std::uint64_t* const* cols,
                               std::size_t n_cols, std::size_t n_words) noexcept;
 
-/// Σ popcount(a[idx[k]] & b[idx[k]]) over the `n_idx` word indices at
-/// `idx` — the sparse gather form of and_popcount for coverages whose
-/// nonzero words are already known.
-std::size_t gather_and_popcount(const std::uint64_t* a, const std::uint64_t* b,
-                                const std::size_t* idx,
-                                std::size_t n_idx) noexcept;
-
 /// Writes the indices of the nonzero words of w[0..n) to `out` (ascending)
-/// and returns how many there are.  `out` must hold n entries.
+/// and returns how many there are.  `out` must hold n entries, and n must
+/// fit in 32 bits (the incremental planner's active lists are uint32_t).
 std::size_t nonzero_indices(const std::uint64_t* w, std::size_t n,
-                            std::size_t* out) noexcept;
-
-/// nonzero_indices with 32-bit output indices (n must fit; the
-/// incremental planner's active lists are uint32_t).
-std::size_t nonzero_indices_u32(const std::uint64_t* w, std::size_t n,
-                                std::uint32_t* out) noexcept;
-
-/// Sparse scatter-copy: zero-fills dst[0..n_words), then copies
-/// dst[idx[k]] = src[idx[k]] for the n_idx listed indices — the sparse
-/// coverage materialization.  dst must not alias src.
-void scatter_words(std::uint64_t* dst, const std::uint64_t* src,
-                   const std::size_t* idx, std::size_t n_idx,
-                   std::size_t n_words) noexcept;
+                            std::uint32_t* out) noexcept;
 
 }  // namespace tagwatch::util::simd

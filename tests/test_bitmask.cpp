@@ -2,9 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "core/bitmask.hpp"
 #include "util/rng.hpp"
+#include "util/task_pool.hpp"
 
 namespace tagwatch::core {
 namespace {
@@ -66,25 +69,6 @@ TEST(BitmaskIndex, CandidatesForRejectsSizeMismatch) {
   BitmaskIndex index({epc6("000001"), epc6("000010")});
   EXPECT_THROW(index.candidates_for(util::IndicatorBitmap(3)),
                std::invalid_argument);
-  EXPECT_THROW(index.candidates_for_reference(util::IndicatorBitmap(3)),
-               std::invalid_argument);
-}
-
-TEST(BitmaskIndex, FastPathMatchesReferenceEnumeration) {
-  // The incremental fast path must reproduce the reference enumeration
-  // exactly — same rows, same order, same first-seen bitmask per coverage.
-  util::Rng rng(95);
-  std::vector<util::Epc> scene;
-  for (int i = 0; i < 70; ++i) scene.push_back(util::Epc::random(rng));
-  BitmaskIndex index(scene);
-  const auto targets = index.bitmap_of({scene[1], scene[33], scene[64]});
-  const auto fast = index.candidates_for(targets);
-  const auto reference = index.candidates_for_reference(targets);
-  ASSERT_EQ(fast.size(), reference.size());
-  for (std::size_t i = 0; i < fast.size(); ++i) {
-    EXPECT_EQ(fast[i].bitmask, reference[i].bitmask) << "row " << i;
-    EXPECT_EQ(fast[i].coverage, reference[i].coverage) << "row " << i;
-  }
 }
 
 TEST(BitmaskIndex, CandidatesAllCoverAtLeastOneTarget) {
@@ -101,6 +85,34 @@ TEST(BitmaskIndex, CandidatesAllCoverAtLeastOneTarget) {
   }
 }
 
+/// Brute-force candidate table: every mask S(anchor[p, p+l), p, l) over
+/// (target ascending, p, l), its coverage matched tag by tag, keeping the
+/// first mask for each distinct coverage.
+std::vector<BitmaskCandidate> brute_force_candidates(
+    const BitmaskIndex& index, const util::IndicatorBitmap& targets) {
+  std::vector<BitmaskCandidate> rows;
+  std::unordered_set<util::IndicatorBitmap> seen;
+  const std::size_t bits = index.epc_bits();
+  for (std::size_t t = 0; t < index.scene_size(); ++t) {
+    if (!targets.test(t)) continue;
+    const util::BitString& anchor = index.scene()[t].bits();
+    for (std::size_t p = 0; p < bits; ++p) {
+      for (std::size_t l = 1; p + l <= bits; ++l) {
+        BitmaskCandidate row;
+        row.bitmask = Bitmask{static_cast<std::uint32_t>(p),
+                              anchor.substring(p, l)};
+        row.coverage = util::IndicatorBitmap(index.scene_size());
+        for (std::size_t i = 0; i < index.scene_size(); ++i) {
+          if (row.bitmask.covers(index.scene()[i])) row.coverage.set(i);
+        }
+        row.targets_covered = row.coverage.and_count(targets);
+        if (seen.insert(row.coverage).second) rows.push_back(std::move(row));
+      }
+    }
+  }
+  return rows;
+}
+
 TEST(BitmaskIndex, CandidateCoverageBitmapsAreCorrect) {
   util::Rng rng(92);
   std::vector<util::Epc> scene;
@@ -112,6 +124,35 @@ TEST(BitmaskIndex, CandidateCoverageBitmapsAreCorrect) {
     for (std::size_t i = 0; i < index.scene_size(); ++i) {
       EXPECT_EQ(c.coverage.test(i), c.bitmask.covers(index.scene()[i]))
           << c.bitmask.to_string() << " tag " << i;
+    }
+  }
+
+  // Completeness and order: the table equals the brute-force enumeration
+  // row for row on a random scene and on a clustered one (sequential
+  // serials share long prefixes, so many masks collapse to one coverage),
+  // at every pool size.
+  std::vector<util::Epc> clustered;
+  for (std::uint64_t serial = 0; serial < 48; ++serial) {
+    clustered.push_back(util::Epc::from_serial(3 * serial));
+  }
+  for (const auto& [name, epcs] :
+       {std::pair{"random", scene}, std::pair{"clustered", clustered}}) {
+    const BitmaskIndex scene_index(epcs);
+    const auto scene_targets =
+        scene_index.bitmap_of({epcs[1], epcs[7], epcs[8], epcs[20]});
+    const auto expected = brute_force_candidates(scene_index, scene_targets);
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      SCOPED_TRACE(testing::Message() << name << " scene, " << threads
+                                      << " threads");
+      util::TaskPool pool(threads);
+      const auto got = scene_index.candidates_for(scene_targets, &pool);
+      ASSERT_EQ(got.size(), expected.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].bitmask, expected[i].bitmask) << "row " << i;
+        EXPECT_EQ(got[i].coverage, expected[i].coverage) << "row " << i;
+        EXPECT_EQ(got[i].targets_covered, expected[i].targets_covered)
+            << "row " << i;
+      }
     }
   }
 }

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <stdexcept>
 #include <unordered_set>
@@ -197,78 +196,6 @@ TEST(IndicatorBitmap, CachedCountStaysExactThroughMutations) {
     for (std::size_t i = 0; i < n; ++i) {
       ASSERT_EQ(b.test(i), reference[i]) << "step " << step << " bit " << i;
     }
-  }
-}
-
-TEST(IndicatorBitmap, AliasedAssignWordsKeepsBitsAndCountExact) {
-  // Self-assignment through word_data(): the candidate sweep re-anchors a
-  // bitmap onto its own backing array (possibly shrinking the size).  The
-  // aliased source must not be clobbered mid-copy and the cached popcount
-  // must match a full recount afterwards.
-  Rng rng(4096);
-  for (int trial = 0; trial < 40; ++trial) {
-    const std::size_t n = 65 + rng.below(700);
-    IndicatorBitmap b(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (rng.chance(0.4)) b.set(i);
-    }
-    const IndicatorBitmap before = b;
-
-    // Same-size aliased assign: a pure no-op on bits and count.
-    b.assign_words(n, b.word_data());
-    EXPECT_EQ(b, before) << "trial " << trial;
-
-    // Shrinking aliased assign: keeps the prefix, masks the new tail.
-    const std::size_t m = 1 + rng.below(static_cast<std::uint32_t>(n));
-    b.assign_words(m, b.word_data());
-    std::size_t expected = 0;
-    for (std::size_t i = 0; i < m; ++i) {
-      EXPECT_EQ(b.test(i), before.test(i)) << "trial " << trial << " " << i;
-      expected += before.test(i) ? 1u : 0u;
-    }
-    EXPECT_EQ(b.count(), expected) << "trial " << trial;
-  }
-}
-
-TEST(IndicatorBitmap, AliasedSparseAssignMatchesFullRecount) {
-  // assign_words_sparse aliased to its own words: only the listed words
-  // survive, every unlisted word must be zeroed, and the trusted count
-  // must equal a from-scratch popcount (the drift this guards against).
-  Rng rng(8192);
-  for (int trial = 0; trial < 40; ++trial) {
-    const std::size_t n = 65 + rng.below(900);
-    IndicatorBitmap b(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (rng.chance(0.3)) b.set(i);
-    }
-    const IndicatorBitmap before = b;
-
-    // Keep a random subset of words (ascending, as the sweep guarantees —
-    // every nonzero word it keeps is listed, others are dropped to zero).
-    std::vector<std::size_t> kept;
-    std::size_t count = 0;
-    for (std::size_t w = 0; w < b.word_count(); ++w) {
-      if (rng.chance(0.5)) {
-        kept.push_back(w);
-        count += static_cast<std::size_t>(std::popcount(b.word(w)));
-      }
-    }
-    b.assign_words_sparse(n, b.word_data(), kept.data(), kept.size(), count);
-
-    std::size_t recount = 0;
-    std::size_t next = 0;
-    for (std::size_t w = 0; w < b.word_count(); ++w) {
-      const bool is_kept = next < kept.size() && kept[next] == w;
-      if (is_kept) {
-        ++next;
-        EXPECT_EQ(b.word(w), before.word(w)) << "trial " << trial;
-      } else {
-        EXPECT_EQ(b.word(w), 0u) << "trial " << trial << " word " << w;
-      }
-      recount += static_cast<std::size_t>(std::popcount(b.word(w)));
-    }
-    EXPECT_EQ(b.count(), recount) << "trial " << trial;
-    EXPECT_EQ(b.count(), count) << "trial " << trial;
   }
 }
 

@@ -82,8 +82,8 @@ TEST(ParallelPlanning, CandidateTableIdenticalAtEveryThreadCount) {
 }
 
 TEST(ParallelPlanning, FewTargetsDegenerateToTheSerialSweep) {
-  // Fewer targets than 2x executors: the pool overload must take the
-  // serial path (and stay identical) instead of sharding empty chunks.
+  // Fewer targets than executors: the sweep shards into one chunk per
+  // target, never an empty one, and stays identical to the null pool.
   util::Rng rng(0x5e71a1);
   const BitmaskIndex index(random_scene(128, rng));
   const util::IndicatorBitmap targets = random_targets(128, 3, rng);

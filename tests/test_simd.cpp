@@ -183,30 +183,6 @@ TEST_F(SimdKernels, FusedAndColumns) {
   }
 }
 
-TEST_F(SimdKernels, GatherAndPopcount) {
-  for (const std::size_t n : kWidths) {
-    if (n == 0) continue;
-    const auto a = make_words(n, Fill::kRandom, rng_);
-    const auto b = make_words(n, Fill::kRandom, rng_);
-    const Words both = ref_zip(a, b, ref_and);
-    // Index lists of every length 0..n over distinct ascending indices.
-    for (std::size_t n_idx = 0; n_idx <= n; n_idx += (n_idx < 5 ? 1 : 7)) {
-      std::vector<std::size_t> idx;
-      std::size_t expected = 0;
-      for (std::size_t k = 0; k < n_idx; ++k) {
-        idx.push_back(k * n / n_idx);
-        for (std::size_t j = 0; j < 64; ++j) {
-          if (bit(both, idx.back() * 64 + j)) ++expected;
-        }
-      }
-      EXPECT_EQ(gather_and_popcount(a.data(), b.data(), idx.data(),
-                                    idx.size()),
-                expected)
-          << "n=" << n << " n_idx=" << idx.size();
-    }
-  }
-}
-
 TEST_F(SimdKernels, NonzeroIndices) {
   for (const std::size_t n : kWidths) {
     for (const Fill fill : kFills) {
@@ -216,42 +192,12 @@ TEST_F(SimdKernels, NonzeroIndices) {
         if (ref_nonzero(w, i)) expected.push_back(i);
       }
 
-      std::vector<std::size_t> out(n + 1, ~std::size_t{0});
+      std::vector<std::uint32_t> out(n + 1, ~std::uint32_t{0});
       const std::size_t m = nonzero_indices(w.data(), n, out.data());
       ASSERT_EQ(m, expected.size()) << "n=" << n;
       EXPECT_TRUE(std::equal(expected.begin(), expected.end(), out.begin()))
           << "n=" << n;
-      EXPECT_EQ(out[m], ~std::size_t{0}) << "wrote past the count, n=" << n;
-
-      std::vector<std::uint32_t> o32(n + 1, ~std::uint32_t{0});
-      const std::size_t m32 = nonzero_indices_u32(w.data(), n, o32.data());
-      ASSERT_EQ(m32, expected.size()) << "n=" << n;
-      for (std::size_t k = 0; k < m32; ++k) {
-        EXPECT_EQ(o32[k], expected[k]) << "n=" << n << " k=" << k;
-      }
-      EXPECT_EQ(o32[m32], ~std::uint32_t{0}) << "n=" << n;
-    }
-  }
-}
-
-TEST_F(SimdKernels, ScatterWords) {
-  for (const std::size_t n : kWidths) {
-    const auto src = make_words(n, Fill::kRandom, rng_);
-    for (std::size_t n_idx = 0; n_idx <= n; n_idx += (n_idx < 5 ? 1 : 11)) {
-      std::vector<std::size_t> idx;
-      for (std::size_t k = 0; k < n_idx; ++k) {
-        idx.push_back(k * n / n_idx);
-      }
-      idx.erase(std::unique(idx.begin(), idx.end()), idx.end());
-      Words expected(n, 0);
-      for (const std::size_t i : idx) {
-        for (std::size_t j = 0; j < 64; ++j) {
-          put(expected, i * 64 + j, bit(src, i * 64 + j));
-        }
-      }
-      Words dst(n, ~std::uint64_t{0});
-      scatter_words(dst.data(), src.data(), idx.data(), idx.size(), n);
-      EXPECT_EQ(dst, expected) << "n=" << n << " n_idx=" << idx.size();
+      EXPECT_EQ(out[m], ~std::uint32_t{0}) << "wrote past the count, n=" << n;
     }
   }
 }

@@ -13,17 +13,6 @@
 //   mover_speed     = 0.7         m/s
 //   people          = 0           walking multipath reflectors
 //   mode            = tagwatch    tagwatch | naive | read-all
-//   scheduler_evaluation = lazy   lazy | dense — greedy-cover gain
-//                                 evaluation of the from-scratch planner
-//                                 (dense is the full-rescan reference
-//                                 path; plans are identical)
-//   planner.incremental = true    keep the Phase-II candidate structure
-//                                 alive across cycles and patch it from
-//                                 scene/target deltas (tagwatch mode
-//                                 only; the library default); false
-//                                 rebuilds from scratch every cycle, the
-//                                 reference planner (plans are
-//                                 bit-identical either way)
 //   planner.churn_threshold = 0.15  delta fraction of the scene above
 //                                 which the incremental planner rebuilds
 //                                 from scratch [0,1]
@@ -127,13 +116,6 @@ core::ScheduleMode parse_mode(const std::string& mode) {
                               " (expected tagwatch|naive|read-all)");
 }
 
-core::GreedyEvaluation parse_evaluation(const std::string& evaluation) {
-  if (evaluation == "lazy") return core::GreedyEvaluation::kLazy;
-  if (evaluation == "dense") return core::GreedyEvaluation::kDense;
-  throw std::invalid_argument("unknown scheduler_evaluation: " + evaluation +
-                              " (expected lazy|dense)");
-}
-
 /// Every key a scenario file may contain.  Unknown keys are rejected with
 /// this list so a typo ("cycels = 10") fails loudly instead of silently
 /// running defaults.
@@ -145,8 +127,7 @@ constexpr const char* kAcceptedKeys[] = {
     "pipeline_stats", "fault_injection", "fault_rate", "fault_seed",
     "fault_drop_rate", "fault_duplicate_rate", "fault_corrupt_rate",
     "fault_reconnect_ms", "retry_attempts", "degrade_after",
-    "restore_after", "scheduler_evaluation", "planner.incremental",
-    "planner.churn_threshold", "planner.threads",
+    "restore_after", "planner.churn_threshold", "planner.threads",
     "fleet.readers", "fleet.pitch", "fleet.radius", "fleet.policy",
     "fleet.session", "fleet.target", "fleet.dedup_ms", "fleet.seam_tags",
     "fleet.takeover", "fleet.suspect_after", "fleet.down_after",
@@ -210,10 +191,6 @@ gen2::InvFlag parse_inv_target(const std::string& target) {
 core::TagwatchConfig controller_config(const util::KeyValueConfig& cfg) {
   core::TagwatchConfig c;
   c.mode = parse_mode(cfg.get_or("mode", "tagwatch"));
-  c.greedy_evaluation =
-      parse_evaluation(cfg.get_or("scheduler_evaluation", "lazy"));
-  c.planner.incremental = cfg.get_bool_or(
-      "planner.incremental", core::PlannerConfig{}.incremental);
   c.planner.churn_threshold =
       double_in(cfg, "planner.churn_threshold", 0.15, 0.0, 1.0);
   c.planner.threads =
