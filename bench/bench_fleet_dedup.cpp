@@ -95,8 +95,8 @@ Point run_window(util::SimDuration window, std::uint64_t seed) {
   Strip strip(seed);
   core::FleetConfig cfg;
   cfg.controller.phase2_duration = util::msec(200);
-  // Host compute time must not leak onto the simulated timeline: every
-  // sweep point then sees the identical raw reading stream, and only the
+  // Air time only on the reader timeline (no modeled compute charge).
+  // Every sweep point sees the identical raw reading stream, and only the
   // window moves the delivered/duplicate split.
   cfg.controller.charge_compute_time = false;
   cfg.policy = core::SessionPolicy::kIndependent;

@@ -130,8 +130,8 @@ struct Outcome {
 core::FleetConfig fleet_config(core::TakeoverPolicy takeover) {
   core::FleetConfig cfg;
   cfg.controller.phase2_duration = util::msec(500);
-  // Keep host compute off the simulated timeline so every policy sees the
-  // identical fault-free prefix and the same death time.
+  // Air time only on the reader timeline (no modeled compute charge);
+  // every policy sees the identical fault-free prefix and death time.
   cfg.controller.charge_compute_time = false;
   // Independent sessions: every reader re-inventories its zone each cycle,
   // so the coverage gap is purely geometric — who can energize the

@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <memory>
 
-#include "core/metrics.hpp"
 #include "core/tagwatch.hpp"
 #include "llrp/sim_reader_client.hpp"
 #include "util/circular.hpp"
@@ -51,12 +50,8 @@ int main() {
   llrp::ReaderClient& reader = client;
 
   // 3. Tagwatch: defaults from the paper (5 s Phase II, ξ=3, K=8, α=0.001).
-  //    A metrics sink joins the built-in assessor/history sinks in the
-  //    controller's reading pipeline.
   core::TagwatchConfig config;
   core::TagwatchController tagwatch(config, reader);
-  std::shared_ptr<core::PipelineMetrics> metrics =
-      core::attach_metrics(tagwatch);
 
   // 4. Run 10 cycles; the first few fall back to read-all while the
   //    immobility models learn, then Phase II narrows to the movers.
@@ -98,9 +93,9 @@ int main() {
               "the 2-of-40 case)\n");
 
   // 6. What flowed through the delivery pipeline.
-  const core::PipelineMetricsSnapshot snap = metrics->snapshot();
-  std::printf("\npipeline: %llu readings across %zu sinks over %llu cycles\n",
-              static_cast<unsigned long long>(snap.readings_total()),
-              snap.sinks.size(), static_cast<unsigned long long>(snap.cycles));
+  std::size_t readings = 0;
+  for (const auto& r : reports) readings += r.phase1_readings + r.phase2_readings;
+  std::printf("\npipeline: %zu readings across %zu sinks over %zu cycles\n",
+              readings, tagwatch.pipeline().sink_count(), reports.size());
   return 0;
 }

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_set>
+#include <unordered_map>
 #include <utility>
 
 #include "util/task_pool.hpp"
@@ -11,26 +11,20 @@ namespace tagwatch::core {
 
 namespace {
 
-/// Hash and equality of candidate rows by coverage, so a dedupe set can
-/// hold row indices into `rows` instead of a second copy of each bitmap.
-/// Transparent: a coverage bitmap probes the set directly.
-struct RowCoverage {
-  using is_transparent = void;
+/// Row indices into one output vector, keyed by their coverage's hash, so
+/// each new row's coverage is hashed once: the probe's hash is the key.
+using RowSet = std::unordered_multimap<std::size_t, std::size_t>;
 
-  const std::vector<BitmaskCandidate>* rows;
-
-  const util::IndicatorBitmap& of(std::size_t row) const {
-    return (*rows)[row].coverage;
-  }
-  const util::IndicatorBitmap& of(const util::IndicatorBitmap& b) const {
-    return b;
-  }
-  std::size_t operator()(const auto& key) const { return of(key).hash(); }
-  bool operator()(const auto& a, const auto& b) const { return of(a) == of(b); }
-};
-
-/// Row indices into one output vector, deduplicated by coverage.
-using RowSet = std::unordered_set<std::size_t, RowCoverage, RowCoverage>;
+/// True when `seen` holds a row of `rows` whose coverage equals `cover`
+/// (whose hash is `h`).
+bool has_coverage(const RowSet& seen,
+                  const std::vector<BitmaskCandidate>& rows,
+                  const util::IndicatorBitmap& cover, std::size_t h) {
+  const auto [lo, hi] = seen.equal_range(h);
+  return std::any_of(lo, hi, [&](const auto& entry) {
+    return rows[entry.second].coverage == cover;
+  });
+}
 
 }  // namespace
 
@@ -104,11 +98,7 @@ std::vector<BitmaskCandidate> BitmaskIndex::candidates_for(
   const std::size_t chunks =
       std::max<std::size_t>(1, std::min(threads, target_list.size()));
   std::vector<std::vector<BitmaskCandidate>> parts(chunks);
-  std::vector<RowSet> seen;
-  seen.reserve(chunks);
-  for (auto& part : parts) {
-    seen.emplace_back(0, RowCoverage{&part}, RowCoverage{&part});
-  }
+  std::vector<RowSet> seen(chunks);
   const auto sweep = [&](std::size_t k) {
     std::vector<BitmaskCandidate>& out = parts[k];
     util::IndicatorBitmap cover(scene_.size());
@@ -122,14 +112,15 @@ std::vector<BitmaskCandidate> BitmaskIndex::candidates_for(
         for (std::size_t l = 1; p + l <= epc_bits_; ++l) {
           const std::size_t b = p + l - 1;
           cover.and_with(anchor.bit(b) ? ones_[b] : zeros_[b]);
-          if (!seen[k].contains(cover)) {
+          const std::size_t h = cover.hash();
+          if (!has_coverage(seen[k], out, cover, h)) {
             BitmaskCandidate cand;
             cand.bitmask.pointer = static_cast<std::uint32_t>(p);
             cand.bitmask.mask = anchor.substring(p, l);
             cand.coverage = cover;
             cand.targets_covered = cover.and_count(targets);
             out.push_back(std::move(cand));
-            seen[k].insert(out.size() - 1);
+            seen[k].emplace(h, out.size() - 1);
           }
           if (cover.count() <= 1) break;
         }
@@ -148,9 +139,10 @@ std::vector<BitmaskCandidate> BitmaskIndex::candidates_for(
   std::vector<BitmaskCandidate>& out = parts.front();
   for (std::size_t k = 1; k < chunks; ++k) {
     for (auto& cand : parts[k]) {
-      if (seen.front().contains(cand.coverage)) continue;
+      const std::size_t h = cand.coverage.hash();
+      if (has_coverage(seen.front(), out, cand.coverage, h)) continue;
       out.push_back(std::move(cand));
-      seen.front().insert(out.size() - 1);
+      seen.front().emplace(h, out.size() - 1);
     }
   }
   return std::move(out);

@@ -291,9 +291,6 @@ FleetController::FleetController(FleetConfig config,
     slot.controller->pipeline().add_sink(slot.tap);
     readers_.push_back(std::move(slot));
   }
-  if (config_.controller.wall_clock != nullptr) {
-    pipeline_.set_wall_clock(*config_.controller.wall_clock);
-  }
   journal_.setup.readers = readers_.size();
   journal_.setup.policy = to_string(config_.policy);
   journal_.setup.session = reader_session(0);

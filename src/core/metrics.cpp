@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "core/tagwatch.hpp"
-
 namespace tagwatch::core {
 
 IrrMonitor::IrrMonitor(util::SimDuration window) : window_(window) {
@@ -80,64 +78,6 @@ std::size_t IrrMonitor::prune(util::SimTime now) {
     }
   }
   return pruned;
-}
-
-bool PipelineMetrics::on_reading(const rf::TagReading& reading,
-                                 const ReadingContext& context) {
-  (void)reading;
-  if (context.phase == ReadPhase::kPhase2) {
-    ++phase2_readings_;
-    ++current_.phase2_readings;
-  } else {
-    ++phase1_readings_;
-    ++current_.phase1_readings;
-  }
-  return true;
-}
-
-void PipelineMetrics::on_cycle_end(const CycleReport& report) {
-  current_.cycle_index = report.cycle_index;
-  current_.scene = report.scene.size();
-  current_.targets = report.targets.size();
-  current_.read_all_fallback = report.read_all_fallback;
-  current_.degraded_mode = report.degraded_mode;
-  current_.execute_failures = report.execute_failures;
-  current_.retries = report.retries;
-  if (report.read_all_fallback) ++read_all_cycles_;
-  if (report.degraded_mode) ++degraded_cycles_;
-  health_ = report.health;
-  slot_totals_ += report.slot_totals;
-  scene_sum_ += static_cast<double>(report.scene.size());
-  target_sum_ += static_cast<double>(report.targets.size());
-  if (report.interphase_gap) {
-    gap_ms_sum_ += util::to_millis(*report.interphase_gap);
-    ++gap_cycles_;
-  }
-  per_cycle_.push_back(current_);
-  current_ = CycleMetrics{};
-}
-
-PipelineMetricsSnapshot PipelineMetrics::snapshot() const {
-  PipelineMetricsSnapshot snap;
-  snap.cycles = per_cycle_.size();
-  snap.read_all_cycles = read_all_cycles_;
-  snap.degraded_cycles = degraded_cycles_;
-  snap.health = health_;
-  snap.phase1_readings = phase1_readings_;
-  snap.phase2_readings = phase2_readings_;
-  snap.slot_totals = slot_totals_;
-  if (!per_cycle_.empty()) {
-    const double n = static_cast<double>(per_cycle_.size());
-    snap.mean_scene = scene_sum_ / n;
-    snap.mean_targets = target_sum_ / n;
-  }
-  if (gap_cycles_ > 0) {
-    snap.mean_interphase_gap_ms =
-        gap_ms_sum_ / static_cast<double>(gap_cycles_);
-  }
-  snap.per_cycle = per_cycle_;
-  if (pipeline_ != nullptr) snap.sinks = pipeline_->stats();
-  return snap;
 }
 
 }  // namespace tagwatch::core

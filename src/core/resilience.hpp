@@ -99,7 +99,7 @@ struct FleetResilienceConfig {
 };
 
 /// Cumulative controller health counters, snapshotted into every
-/// CycleReport and surfaced through PipelineMetrics.
+/// CycleReport and read live through TagwatchController::health().
 struct HealthMetrics {
   // Transport faults observed, by kind.
   std::uint64_t timeouts = 0;

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <unordered_set>
 
-#include "core/metrics.hpp"
-
 namespace tagwatch::core {
 
 namespace {
@@ -28,9 +26,6 @@ TagwatchController::TagwatchController(TagwatchConfig config,
   // database; application and telemetry sinks append behind them.
   pipeline_.add_sink(std::make_shared<ParallelAssessorSink>(assessor_));
   pipeline_.add_sink(std::make_shared<HistorySink>(history_));
-  if (config_.wall_clock != nullptr) {
-    pipeline_.set_wall_clock(*config_.wall_clock);
-  }
   if (config_.planner.threads > 1) {
     planning_pool_ = std::make_unique<util::TaskPool>(config_.planner.threads);
   }
@@ -57,14 +52,6 @@ void TagwatchController::deliver_batch(
   }
   pipeline_.dispatch_batch(
       readings, ReadingContext{report.cycle_index, phase, config_.source_id});
-}
-
-std::shared_ptr<PipelineMetrics> attach_metrics(
-    TagwatchController& controller) {
-  auto metrics = std::make_shared<PipelineMetrics>();
-  metrics->observe(controller.pipeline());
-  controller.pipeline().set_sink(metrics);
-  return metrics;
 }
 
 llrp::ROSpec TagwatchController::make_read_all_rospec(
@@ -316,9 +303,7 @@ CycleReport TagwatchController::run_cycle() {
   std::sort(report.scene.begin(), report.scene.end());
 
   // ------------------------------------------- Assessment + scheduling
-  util::WallClock& wall = config_.wall_clock != nullptr
-                              ? *config_.wall_clock
-                              : util::WallClock::system();
+  util::WallClock& wall = util::WallClock::system();
   const double wall_start = wall.now_seconds();
 
   report.mobile = assessor_.mobile_tags(client_->now());
@@ -371,9 +356,9 @@ CycleReport TagwatchController::run_cycle() {
 
   report.schedule_compute_ms = (wall.now_seconds() - wall_start) * 1e3;
   if (config_.charge_compute_time) {
-    // Put the host compute time on the reader clock so the inter-phase
+    // Put the modeled compute time on the reader clock so the inter-phase
     // gap reflects it, as the paper's Fig. 17 measurement does.
-    client_->advance(util::from_seconds(report.schedule_compute_ms / 1e3));
+    client_->advance(kModeledComputeTime);
   }
 
   // ----------------------------------------------------------- Phase II

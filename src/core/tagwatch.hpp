@@ -36,7 +36,6 @@
 #include "llrp/reader_client.hpp"
 #include "util/rng.hpp"
 #include "util/task_pool.hpp"
-#include "util/wall_clock.hpp"
 
 namespace tagwatch::core {
 
@@ -68,6 +67,11 @@ struct PlannerConfig {
   /// only buys planning throughput on large scenes.
   std::size_t threads = 1;
 };
+
+/// Reader time charged for assessment + scheduling when
+/// TagwatchConfig::charge_compute_time is on: the paper's Fig. 17 P50
+/// bound.  A constant, so host load never reaches the simulated clock.
+inline constexpr util::SimDuration kModeledComputeTime = util::msec(4);
 
 /// Controller configuration (paper §6 "parameter choice" defaults).
 struct TagwatchConfig {
@@ -124,16 +128,12 @@ struct TagwatchConfig {
   /// only the EPC bits after the bitmask, shortening every successful slot
   /// (an extension; the paper reads full EPCs).
   bool use_truncation = false;
-  /// Account the real scheduling compute time on the simulation clock so
-  /// the inter-phase gap (Fig. 17) includes it.
+  /// Advance the reader clock by kModeledComputeTime between the phases so
+  /// the inter-phase gap (Fig. 17) includes the scheduling compute.
   bool charge_compute_time = true;
   /// How the controller survives a faulty transport: retry/backoff policy,
   /// degraded read-all fallback, per-cycle watchdog budget.
   ResilienceConfig resilience;
-  /// Host clock for schedule-compute timing (Fig. 17) and, via the
-  /// pipeline, per-sink dispatch latency.  nullptr: the steady_clock-backed
-  /// util::WallClock::system().  Non-owning; must outlive the controller.
-  util::WallClock* wall_clock = nullptr;
 };
 
 /// What happened in one cycle.
@@ -161,8 +161,9 @@ struct CycleReport {
   std::size_t phase2_readings = 0;
   util::SimDuration phase1_duration{0};
   util::SimDuration phase2_duration{0};
-  /// Wall-clock time spent on assessment + bitmask scheduling (Fig. 17's
-  /// "extra time cost"), in milliseconds.
+  /// Host time spent on assessment + bitmask scheduling (Fig. 17's "extra
+  /// time cost"), in milliseconds.  Telemetry only: the reader clock is
+  /// charged kModeledComputeTime instead.
   double schedule_compute_ms = 0.0;
   /// Gap between the last Phase I reading and the first Phase II reading
   /// on the simulation clock (Fig. 17's measured quantity).
@@ -189,8 +190,6 @@ struct CycleReport {
   /// Cumulative controller health counters at cycle end.
   HealthMetrics health;
 };
-
-class PipelineMetrics;  // core/metrics.hpp
 
 /// The rate-adaptive reading controller.
 class TagwatchController {
@@ -308,10 +307,5 @@ class TagwatchController {
   std::size_t consecutive_phase2_failures_ = 0;
   std::size_t healthy_streak_ = 0;
 };
-
-/// Attaches a PipelineMetrics sink to the controller's pipeline (bound to
-/// observe the pipeline's per-sink stats) and returns it.  Defined in
-/// metrics-aware code to keep this header light.
-std::shared_ptr<PipelineMetrics> attach_metrics(TagwatchController& controller);
 
 }  // namespace tagwatch::core

@@ -112,7 +112,7 @@ class ReaderClient {
   virtual ReaderCapabilities capabilities() const = 0;
 
   /// Advances the reader clock by `d` without reading — how the controller
-  /// charges out-of-band host time (e.g. scheduling compute) onto the
+  /// charges its modeled scheduling compute and retry backoff onto the
   /// timeline so inter-phase gaps reflect it (Fig. 17).
   virtual void advance(util::SimDuration d) = 0;
 

@@ -33,7 +33,7 @@ std::uint64_t journal_digest(const ReaderJournal& journal);
 struct JournalEntry {
   enum class Kind {
     kExecute,  ///< One execute(ROSpec) call and everything it returned.
-    kAdvance,  ///< One advance(d) call (charged host compute time).
+    kAdvance,  ///< One advance(d) call (modeled compute or backoff).
   };
   Kind kind = Kind::kExecute;
 

@@ -4,9 +4,8 @@
 // operation, verifies the issued ROSpec matches the recorded one, streams
 // the recorded readings to the listener, and moves the clock
 // to the recorded end time.  advance() likewise consumes the recorded
-// charge, *ignoring* the caller-supplied amount — host compute time varies
-// run to run, and pinning the clock to the journal is what makes a replayed
-// controller reproduce the recorded run bit-for-bit.
+// charge, *ignoring* the caller-supplied amount, so the clock follows the
+// journal whatever compute charge the recording controller used.
 #pragma once
 
 #include "llrp/reader_client.hpp"

@@ -4,14 +4,6 @@
 
 namespace tagwatch::util::simd {
 
-std::size_t popcount_words(const std::uint64_t* w, std::size_t n) noexcept {
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    total += static_cast<std::size_t>(std::popcount(w[i]));
-  }
-  return total;
-}
-
 std::size_t and_popcount(const std::uint64_t* a, const std::uint64_t* b,
                          std::size_t n) noexcept {
   std::size_t total = 0;

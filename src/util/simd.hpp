@@ -3,7 +3,7 @@
 // Portable loops over 64-bit word arrays: pure integer AND/OR/ANDNOT and
 // popcount, so every result is exact and independent of the compiler's
 // vectorization choices.  The indicator bitmaps and the incremental
-// planner share these seven kernels instead of each open-coding its own
+// planner share these six kernels instead of each open-coding its own
 // word loop; tests/test_simd.cpp checks each one against a per-bit
 // reference.
 #pragma once
@@ -17,9 +17,6 @@ namespace tagwatch::util::simd {
 // valid).  `dst` may alias `src`/`head` exactly (same pointer) or not at
 // all; partial overlap is undefined.  No alignment beyond the word's own
 // is required.
-
-/// Σ popcount(w[i]).
-std::size_t popcount_words(const std::uint64_t* w, std::size_t n) noexcept;
 
 /// Σ popcount(a[i] & b[i]) without storing — the |V_i ∩ V| gain term.
 std::size_t and_popcount(const std::uint64_t* a, const std::uint64_t* b,

@@ -3,7 +3,8 @@
 // Everything on the *simulation* timeline runs on util::SimTime and is
 // deterministic by construction.  A few places legitimately measure *host*
 // wall time — per-sink dispatch latency in the reading pipeline, the
-// scheduler's compute budget (Fig. 17) — and no other file in src/ may
+// scheduler's compute time (Fig. 17) — as telemetry that never reaches the
+// simulated clock or a journal, and no other file in src/ may
 // read a raw std::chrono clock (lint rule `determinism`, checked by the
 // LintSelfCheck test).
 // WallClock is the seam: production code uses the steady_clock-backed

@@ -14,7 +14,6 @@
 #include "llrp/replay_reader_client.hpp"
 #include "llrp/sim_reader_client.hpp"
 #include "util/circular.hpp"
-#include "util/wall_clock.hpp"
 
 namespace tagwatch::core {
 namespace {
@@ -411,8 +410,6 @@ TEST(FleetController, FourReaderRecordReplayPreservesJournalDigests) {
 
   FleetConfig cfg = short_fleet_config();
   cfg.policy = SessionPolicy::kIndependent;
-  util::FakeWallClock record_clock(/*auto_step=*/0.001);
-  cfg.controller.wall_clock = &record_clock;
   FleetController recorded(cfg, recording_specs, &bed.world);
   const auto recorded_reports = recorded.run_cycles(3);
   const std::uint64_t fleet_digest = fleet_journal_digest(recorded.journal());
@@ -431,8 +428,6 @@ TEST(FleetController, FourReaderRecordReplayPreservesJournalDigests) {
         llrp::ReaderJournal::from_csv(recorders[k]->journal().to_csv())));
     replay_specs[k].client = replays[k].get();
   }
-  util::FakeWallClock replay_clock(/*auto_step=*/0.001);
-  cfg.controller.wall_clock = &replay_clock;
   FleetController replayed(cfg, replay_specs, /*world=*/nullptr);
   const auto replayed_reports = replayed.run_cycles(3);
 

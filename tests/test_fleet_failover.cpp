@@ -15,7 +15,6 @@
 #include "llrp/recording_reader_client.hpp"
 #include "llrp/replay_reader_client.hpp"
 #include "llrp/sim_reader_client.hpp"
-#include "util/wall_clock.hpp"
 
 namespace tagwatch::core {
 namespace {
@@ -168,10 +167,6 @@ struct ChaosBed {
 FleetConfig chaos_config(TakeoverPolicy policy) {
   FleetConfig cfg;
   cfg.controller.phase2_duration = util::msec(200);
-  // Real compute time on the sim clock would make every timestamp — and
-  // the twin-bed outage anchoring below — depend on host speed and
-  // assessor thread count.
-  cfg.controller.charge_compute_time = false;
   cfg.takeover = policy;
   cfg.resilience.suspect_after_failures = 1;
   cfg.resilience.down_after_failures = 2;
@@ -466,8 +461,6 @@ TEST(FleetFailover, ChaosRecordReplayPreservesFleetJournalDigest) {
   }
 
   FleetConfig cfg = base;
-  util::FakeWallClock record_clock(/*auto_step=*/0.001);
-  cfg.controller.wall_clock = &record_clock;
   FleetController recorded(cfg, recording_specs, &bed.world);
   const auto recorded_reports = recorded.run_cycles(8);
 
@@ -489,8 +482,6 @@ TEST(FleetFailover, ChaosRecordReplayPreservesFleetJournalDigest) {
         llrp::ReaderJournal::from_csv(recorders[k]->journal().to_csv())));
     replay_specs[k].client = replays[k].get();
   }
-  util::FakeWallClock replay_clock(/*auto_step=*/0.001);
-  cfg.controller.wall_clock = &replay_clock;
   FleetController replayed(cfg, replay_specs, /*world=*/nullptr);
   const auto replayed_reports = replayed.run_cycles(8);
 

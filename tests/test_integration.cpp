@@ -225,10 +225,6 @@ TEST(TagwatchIntegration, IncrementalPlannerMatchesFromScratchPipeline) {
     cfg_ref.planner.incremental = false;
     cfg_inc.planner.incremental = true;
     cfg_inc.planner.churn_threshold = 0.25;
-    // Scheduling compute runs on the host clock, so charging it would skew
-    // the two simulations apart; keep the reader clocks in lockstep.
-    cfg_ref.charge_compute_time = false;
-    cfg_inc.charge_compute_time = false;
     TagwatchController ref(cfg_ref, *bed_ref.client);
     TagwatchController inc(cfg_inc, *bed_inc.client);
     EXPECT_EQ(inc.incremental_planner(), nullptr);

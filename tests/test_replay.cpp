@@ -11,7 +11,6 @@
 #include "llrp/replay_reader_client.hpp"
 #include "llrp/sim_reader_client.hpp"
 #include "util/circular.hpp"
-#include "util/wall_clock.hpp"
 
 namespace tagwatch::llrp {
 namespace {
@@ -102,16 +101,11 @@ TEST(ReplayReaderClient, JournalCsvRoundTripIsExact) {
 TEST(ReplayReaderClient, IdenticalSeedsProduceIdenticalJournalDigests) {
   // The whole-journal digest is the one-number determinism witness: two
   // runs from the same seed must collide, a different seed must not.
-  // charge_compute_time puts *host* time on the reader clock, so the runs
-  // share a FakeWallClock step to keep the charge itself deterministic.
   RecordBed a(10, 1, /*seed=*/41);
   RecordBed b(10, 1, /*seed=*/41);
   RecordBed c(10, 1, /*seed=*/42);
   for (RecordBed* bed : {&a, &b, &c}) {
-    util::FakeWallClock clock(/*auto_step=*/0.001);
-    core::TagwatchConfig cfg = short_config();
-    cfg.wall_clock = &clock;
-    core::TagwatchController ctl(cfg, *bed->recorder);
+    core::TagwatchController ctl(short_config(), *bed->recorder);
     ctl.run_cycles(3);
   }
   EXPECT_EQ(journal_digest(a.recorder->journal()),
@@ -123,12 +117,8 @@ TEST(ReplayReaderClient, IdenticalSeedsProduceIdenticalJournalDigests) {
 TEST(ReplayReaderClient, ReplayDrivenReRecordingPreservesTheDigest) {
   // Record a run, replay it into a *second* recorder: the re-recorded
   // journal must digest identically — replay is bit-exact end to end.
-  // Both controllers step an identical fake clock so the journaled
-  // compute-time charges match to the microsecond.
   RecordBed bed(12, 2, /*seed=*/55);
-  util::FakeWallClock record_clock(/*auto_step=*/0.001);
-  core::TagwatchConfig cfg = short_config();
-  cfg.wall_clock = &record_clock;
+  const core::TagwatchConfig cfg = short_config();
   {
     core::TagwatchController ctl(cfg, *bed.recorder);
     ctl.run_cycles(3);
@@ -137,8 +127,6 @@ TEST(ReplayReaderClient, ReplayDrivenReRecordingPreservesTheDigest) {
 
   ReplayReaderClient replay(bed.recorder->journal());
   RecordingReaderClient rerecorder(replay);
-  util::FakeWallClock replay_clock(/*auto_step=*/0.001);
-  cfg.wall_clock = &replay_clock;
   core::TagwatchController ctl(cfg, rerecorder);
   ctl.run_cycles(3);
 

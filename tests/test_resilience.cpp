@@ -6,7 +6,6 @@
 #include <memory>
 #include <optional>
 
-#include "core/metrics.hpp"
 #include "core/tagwatch.hpp"
 #include "llrp/fault_injection.hpp"
 #include "llrp/recording_reader_client.hpp"
@@ -301,17 +300,26 @@ TEST(Resilience, HealthMetricsFlowIntoPipelineMetrics) {
   plan.scripted = {{0, llrp::ReaderErrorKind::kTimeout, 0}};
   ResilienceBed bed(plan);
   TagwatchController ctl(exact_config(), bed.client());
-  const auto metrics = attach_metrics(ctl);
-  ctl.run_cycles(2);
+  const std::vector<CycleReport> reports = ctl.run_cycles(2);
 
-  const PipelineMetricsSnapshot snap = metrics->snapshot();
-  EXPECT_EQ(snap.health.timeouts, 1u);
-  EXPECT_EQ(snap.health.retries, 1u);
-  EXPECT_EQ(snap.degraded_cycles, 0u);
-  ASSERT_EQ(snap.cycles, 2u);
-  EXPECT_EQ(snap.per_cycle[0].execute_failures, 1u);
-  EXPECT_EQ(snap.per_cycle[0].retries, 1u);
-  EXPECT_EQ(snap.per_cycle[1].execute_failures, 0u);
+  ASSERT_EQ(reports.size(), 2u);
+  EXPECT_EQ(reports[0].execute_failures, 1u);
+  EXPECT_EQ(reports[0].retries, 1u);
+  EXPECT_EQ(reports[1].execute_failures, 0u);
+  // Each report carries the cumulative health as of its cycle's end.
+  for (const CycleReport& r : reports) {
+    EXPECT_FALSE(r.degraded_mode);
+    EXPECT_EQ(r.health.timeouts, 1u);
+    EXPECT_EQ(r.health.retries, 1u);
+  }
+  EXPECT_EQ(ctl.health().degraded_cycles, 0u);
+  // Every sink saw every reading of both cycles, the retried one included.
+  for (const SinkStats& sink : ctl.pipeline().stats()) {
+    SCOPED_TRACE(sink.name);
+    EXPECT_EQ(sink.delivered,
+              reports[0].phase1_readings + reports[0].phase2_readings +
+                  reports[1].phase1_readings + reports[1].phase2_readings);
+  }
 }
 
 }  // namespace

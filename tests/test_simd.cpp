@@ -89,15 +89,6 @@ class SimdKernels : public ::testing::Test {
   Rng rng_{0x51d0f1d0};
 };
 
-TEST_F(SimdKernels, PopcountWords) {
-  for (const std::size_t n : kWidths) {
-    for (const Fill fill : kFills) {
-      const auto w = make_words(n, fill, rng_);
-      EXPECT_EQ(popcount_words(w.data(), n), ref_count(w)) << "n=" << n;
-    }
-  }
-}
-
 TEST_F(SimdKernels, AndPopcount) {
   for (const std::size_t n : kWidths) {
     for (const Fill fill : kFills) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "core/tagwatch.hpp"
+#include "llrp/recording_reader_client.hpp"
 #include "llrp/sim_reader_client.hpp"
 #include "util/circular.hpp"
 
@@ -42,22 +43,40 @@ TEST(TagwatchConfig, Phase1RoundsPerAntennaScalesPhase1) {
 }
 
 TEST(TagwatchConfig, ChargeComputeTimeAdvancesClock) {
-  // With charging disabled, the inter-phase sim-time gap excludes the
-  // host compute; with it enabled the gap includes it.  Both must report
-  // a non-negative compute duration.
+  // With charging on, a selective cycle journals exactly one advance of
+  // kModeledComputeTime and its inter-phase gap includes it; with it off
+  // the cycle journals no advance.  Host compute is telemetry either way.
   for (const bool charge : {false, true}) {
-    MiniBed bed(20, charge ? 21 : 22);
+    MiniBed bed(20, 21);
+    llrp::RecordingReaderClient recorder(*bed.client);
     TagwatchConfig cfg;
     cfg.phase2_duration = util::msec(500);
     cfg.charge_compute_time = charge;
     cfg.pinned_targets = {bed.world.tags()[0].epc};
     cfg.mobile_fraction_threshold = 0.5;
-    TagwatchController ctl(cfg, *bed.client);
+    TagwatchController ctl(cfg, recorder);
     ctl.run_cycles(3);
+    const std::size_t before = recorder.journal().size();
     const CycleReport r = ctl.run_cycle();
+    ASSERT_FALSE(r.read_all_fallback);
     EXPECT_GE(r.schedule_compute_ms, 0.0);
+
+    std::vector<util::SimDuration> advances;
+    const auto& entries = recorder.journal().entries();
+    for (std::size_t i = before; i < entries.size(); ++i) {
+      if (entries[i].kind == llrp::JournalEntry::Kind::kAdvance) {
+        advances.push_back(entries[i].advance);
+      }
+    }
     ASSERT_TRUE(r.interphase_gap.has_value());
-    EXPECT_GT(r.interphase_gap->count(), 0);
+    if (charge) {
+      ASSERT_EQ(advances.size(), 1u);
+      EXPECT_EQ(advances[0], util::usec(4000));
+      EXPECT_GE(*r.interphase_gap, util::msec(4));
+    } else {
+      EXPECT_TRUE(advances.empty());
+      EXPECT_GT(r.interphase_gap->count(), 0);
+    }
   }
 }
 

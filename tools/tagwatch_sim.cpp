@@ -666,15 +666,18 @@ int run(int argc, char** argv) {
   core::IrrMonitor monitor(twcfg.phase2_duration);
   ctl.set_read_listener(
       [&monitor](const rf::TagReading& r) { monitor.record(r); });
-  const std::shared_ptr<core::PipelineMetrics> metrics =
-      core::attach_metrics(ctl);
 
   std::printf("\n%5s  %-10s  %7s  %7s  %9s  %12s  %10s  %5s  %7s\n", "cycle",
               "mode", "scene", "targets", "bitmasks", "phase2 reads",
               "gap (ms)", "fails", "retries");
   core::CycleReport last_report;
+  std::uint64_t readings_total = 0, read_all_cycles = 0;
+  gen2::RoundStats slot_totals;
   for (std::size_t c = 0; c < cycles; ++c) {
     const core::CycleReport r = ctl.run_cycle();
+    readings_total += r.phase1_readings + r.phase2_readings;
+    if (r.read_all_fallback) ++read_all_cycles;
+    slot_totals += r.slot_totals;
     const std::string gap =
         r.interphase_gap
             ? util::format_fixed(util::to_millis(*r.interphase_gap), 1)
@@ -704,17 +707,15 @@ int run(int argc, char** argv) {
   }
 
   if (cfg.get_bool_or("pipeline_stats", false)) {
-    const core::PipelineMetricsSnapshot snap = metrics->snapshot();
-    std::printf("\npipeline: %llu readings over %llu cycles "
+    std::printf("\npipeline: %llu readings over %zu cycles "
                 "(%llu read-all), %zu slots (%zu empty, %zu collided)\n",
-                static_cast<unsigned long long>(snap.readings_total()),
-                static_cast<unsigned long long>(snap.cycles),
-                static_cast<unsigned long long>(snap.read_all_cycles),
-                snap.slot_totals.slots, snap.slot_totals.empty_slots,
-                snap.slot_totals.collision_slots);
+                static_cast<unsigned long long>(readings_total), cycles,
+                static_cast<unsigned long long>(read_all_cycles),
+                slot_totals.slots, slot_totals.empty_slots,
+                slot_totals.collision_slots);
     std::printf("%-10s  %10s  %8s  %12s\n", "sink", "delivered", "dropped",
                 "mean us/read");
-    for (const auto& sink : snap.sinks) {
+    for (const auto& sink : ctl.pipeline().stats()) {
       std::printf("%-10s  %10llu  %8llu  %12.3f\n", sink.name.c_str(),
                   static_cast<unsigned long long>(sink.delivered),
                   static_cast<unsigned long long>(sink.dropped),
