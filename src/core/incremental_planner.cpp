@@ -559,6 +559,22 @@ double IncrementalPlanner::cost_of(std::size_t n) {
   return c;
 }
 
+bool IncrementalPlanner::dominated(const Edge& e) {
+  if (e.child_node == kNone) return false;
+  const Node& child = arena_.nodes[e.child_node];
+  const int blob_side = child.side[0].edge == kNone   ? 0
+                        : child.side[1].edge == kNone ? 1
+                                                      : -1;
+  if (blob_side < 0) return false;
+  const std::uint32_t blob = child.side[blob_side].blob;
+  assert(blob > 0);
+  assert(arena_.edges[child.side[1 - blob_side].edge].count + blob == e.count);
+  // Each gain k / C rounds with relative error <= 2^-53, so a relative
+  // cost gap above 2^-50 keeps the cheaper row's gain strictly higher for
+  // every k >= 1 (and its tie key is never consulted).
+  return cost_of(e.count - blob) * (1.0 + 0x1p-50) < cost_of(e.count);
+}
+
 Schedule IncrementalPlanner::naive_schedule() const {
   Schedule plan;
   plan.used_naive_fallback = true;
@@ -589,13 +605,13 @@ Schedule IncrementalPlanner::run_greedy() {
   std::size_t uncovered = target_slots_.size();
   for (const std::uint32_t t : target_slots_) remaining_[t] = 1;
 
-  // Seed every live row with its full-target-set gain, fresh for round 1
-  // (every row covers at least one target by construction).
+  // Seed every live row that can win with its full-target-set gain, fresh
+  // for round 1 (every row covers at least one target by construction).
   std::vector<HeapEntry> seed;
   seed.reserve(arena_.live_edges);
   for (std::uint32_t e = 0; e < arena_.edges.size(); ++e) {
     const Edge& edge = arena_.edges[e];
-    if (!edge.alive) continue;
+    if (!edge.alive || dominated(edge)) continue;
     const double gain =
         static_cast<double>(edge.targets.size()) / cost_of(edge.count);
     const std::uint64_t key =
@@ -867,7 +883,14 @@ Schedule IncrementalPlanner::plan_cycle(
   }
 
   stats_.live_rows = arena_.live_edges;
-  return run_greedy();
+  // No rebuild and no delta: the structure, and so the greedy's output
+  // under the fixed cost model, is the previous cycle's.
+  if (!stats_.last_was_rebuild && stats_.last_churn == 0.0 && last_plan_) {
+    return *last_plan_;
+  }
+  last_plan_.reset();
+  last_plan_ = run_greedy();
+  return *last_plan_;
 }
 
 }  // namespace tagwatch::core

@@ -81,10 +81,11 @@ class ChurnScene {
   std::map<util::Epc, bool> tags_;
 };
 
-Schedule oracle_plan(const std::vector<util::Epc>& scene,
-                     const std::vector<util::Epc>& targets) {
+Schedule oracle_plan(
+    const std::vector<util::Epc>& scene, const std::vector<util::Epc>& targets,
+    const InventoryCostModel& cost = InventoryCostModel::paper_fit()) {
   const BitmaskIndex index(scene);
-  const GreedyCoverScheduler scheduler(InventoryCostModel::paper_fit());
+  const GreedyCoverScheduler scheduler(cost);
   return scheduler.plan(index, index.bitmap_of(targets));
 }
 
@@ -112,7 +113,26 @@ void expect_cycle_matches_oracle(IncrementalPlanner& planner,
   const auto scene = world.scene();
   const auto targets = world.targets();
   const Schedule fast = planner.plan_cycle(scene, targets);
-  expect_schedules_identical(fast, oracle_plan(scene, targets));
+  expect_schedules_identical(fast,
+                             oracle_plan(scene, targets, planner.cost_model()));
+}
+
+/// Random scene churn and 1..max_targets fresh targets per cycle under
+/// `cost`, checked against the oracle every cycle.
+void expect_churn_matches_oracle(const InventoryCostModel& cost,
+                                 std::uint64_t seed,
+                                 std::uint32_t max_targets) {
+  util::Rng rng(seed);
+  ChurnScene world(512, max_targets, rng);
+  IncrementalPlanner planner(cost, 0.25);
+  expect_cycle_matches_oracle(planner, world);
+  for (int cycle = 0; cycle < 12; ++cycle) {
+    world.churn(rng.below(8), rng.below(8), 0, rng);
+    world.set_random_targets(1 + rng.below(max_targets), rng);
+    SCOPED_TRACE(cycle);
+    expect_cycle_matches_oracle(planner, world);
+  }
+  EXPECT_EQ(planner.stats().full_rebuilds, 1u);
 }
 
 TEST(IncrementalPlanner, FirstCycleMatchesOracleAcrossScales) {
@@ -209,6 +229,68 @@ TEST(IncrementalPlanner, FallbackBoundaryCrossingsStayEquivalent) {
   }
   EXPECT_EQ(planner.stats().full_rebuilds, 5u);
   EXPECT_EQ(planner.stats().incremental_cycles, 4u);
+}
+
+TEST(IncrementalPlanner, RepeatedInputsReturnTheSamePlan) {
+  util::Rng rng(4242);
+  ChurnScene world(512, 12, rng);
+  IncrementalPlanner planner(InventoryCostModel::paper_fit());
+  const Schedule first = planner.plan_cycle(world.scene(), world.targets());
+  const std::uint64_t incremental = planner.stats().incremental_cycles;
+  const std::size_t live_rows = planner.stats().live_rows;
+  expect_schedules_identical(
+      planner.plan_cycle(world.scene(), world.targets()), first);
+  EXPECT_FALSE(planner.stats().last_was_rebuild);
+  EXPECT_EQ(planner.stats().last_churn, 0.0);
+  EXPECT_EQ(planner.stats().incremental_cycles, incremental + 1);
+  EXPECT_EQ(planner.stats().full_rebuilds, 1u);
+  EXPECT_EQ(planner.stats().cycles, 2u);
+  EXPECT_EQ(planner.stats().live_rows, live_rows);
+}
+
+TEST(IncrementalPlanner, RepeatedAndRevertedCyclesStayEquivalent) {
+  util::Rng rng(1717);
+  ChurnScene world(768, 16, rng);
+  IncrementalPlanner planner(InventoryCostModel::paper_fit(), 0.25);
+  expect_cycle_matches_oracle(planner, world);
+  for (int cycle = 0; cycle < 16; ++cycle) {
+    SCOPED_TRACE(cycle);
+    if (cycle % 2 == 0) {
+      world.churn(rng.below(8), rng.below(8), rng.below(10), rng);
+    }
+    // Odd cycles repeat the previous inputs: the reused plan.
+    expect_cycle_matches_oracle(planner, world);
+    if (cycle % 2 == 1) {
+      EXPECT_EQ(planner.stats().last_churn, 0.0);
+    }
+  }
+  // A -> B -> A: one target flips off, then back on.
+  const std::vector<util::Epc> scene = world.scene();
+  const std::vector<util::Epc> a = world.targets();
+  ASSERT_GE(a.size(), 2u);
+  std::vector<util::Epc> b = a;
+  b.erase(b.begin() + static_cast<std::ptrdiff_t>(rng.below(
+                          static_cast<std::uint32_t>(b.size()))));
+  for (const auto& targets : {b, a, a}) {
+    expect_schedules_identical(planner.plan_cycle(scene, targets),
+                               oracle_plan(scene, targets));
+    EXPECT_FALSE(planner.stats().last_was_rebuild);
+  }
+  EXPECT_EQ(planner.stats().last_churn, 0.0);
+  EXPECT_EQ(planner.stats().full_rebuilds, 1u);
+}
+
+TEST(IncrementalPlanner, NearFlatCostModelStaysEquivalent) {
+  // The slope clamp InventoryCostModel::fit() can return: dominated rows
+  // still cost strictly more, by a margin far above double rounding.
+  expect_churn_matches_oracle(InventoryCostModel(0.019, 1e-9), 808, 16);
+}
+
+TEST(IncrementalPlanner, UnseparableCostModelStaysEquivalent) {
+  // Every C(n) rounds to the same double: gains tie and the tie key picks
+  // the shortest mask on a lone target's path, a row with a blob below
+  // it, so no row may be skipped as dominated.
+  expect_churn_matches_oracle(InventoryCostModel(0.019, 1e-300), 909, 3);
 }
 
 TEST(IncrementalPlanner, ZeroThresholdRebuildsOnAnyDelta) {
