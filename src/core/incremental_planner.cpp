@@ -121,10 +121,17 @@ std::uint32_t IncrementalPlanner::alloc_edge(Arena& a) {
   if (!a.free_edges.empty()) {
     e = a.free_edges.back();
     a.free_edges.pop_back();
+    // free_edge() emptied the targets buffer; keep its capacity.
+    std::vector<std::uint32_t> targets = std::move(a.edges[e].targets);
     a.edges[e] = Edge{};
+    a.edges[e].targets = std::move(targets);
   } else {
     e = static_cast<std::uint32_t>(a.edges.size());
     a.edges.emplace_back();
+    if (!a.spare_targets.empty()) {
+      a.edges[e].targets = std::move(a.spare_targets.back());
+      a.spare_targets.pop_back();
+    }
   }
   a.edges[e].alive = true;
   ++a.live_edges;
@@ -350,7 +357,9 @@ void IncrementalPlanner::expand_target_path(Arena& a, Scratch& s,
     a.nodes[node].side[side] = Side{cur, 0};
   }
 
-  for (std::size_t k = start_d; k < lp; ++k) {
+  // The target always matches itself, so once the scratch set holds only
+  // the target the path can never branch again: `cur` is its terminal.
+  for (std::size_t k = start_d; k < lp && s.count > 1; ++k) {
     const std::size_t before = s.count;
     const bool bit = epc_bit(slot, p + k);
     scratch_and_column(s, column(p + k, bit));
@@ -607,18 +616,37 @@ Schedule IncrementalPlanner::run_greedy() {
 
   // Seed every live row that can win with its full-target-set gain, fresh
   // for round 1 (every row covers at least one target by construction).
+  // The rows covering only target t all gain 1/C(count) while t is
+  // uncovered and 0 after, so HeapLess ranks them in the same order in
+  // every round: only t's HeapLess-best such row can ever be selected, and
+  // it is the only one seeded (it is never dominated, as a dominated row
+  // has a strictly better row with the same targets).
+  best_single_.assign(capacity_, kNone);
   std::vector<HeapEntry> seed;
   seed.reserve(arena_.live_edges);
   for (std::uint32_t e = 0; e < arena_.edges.size(); ++e) {
     const Edge& edge = arena_.edges[e];
-    if (!edge.alive || dominated(edge)) continue;
+    if (!edge.alive) continue;
+    const bool single = edge.targets.size() == 1;
+    if (!single && dominated(edge)) continue;
     const double gain =
         static_cast<double>(edge.targets.size()) / cost_of(edge.count);
     const std::uint64_t key =
         (static_cast<std::uint64_t>(rank_[edge.min_slot]) << 16) |
         (static_cast<std::uint64_t>(edge.p) << 8) |
         static_cast<std::uint64_t>(edge.d);
-    seed.push_back({gain, key, e, 1});
+    const HeapEntry entry{gain, key, e, 1};
+    if (!single) {
+      seed.push_back(entry);
+      continue;
+    }
+    std::uint32_t& best = best_single_[edge.min_slot];
+    if (best == kNone) {
+      best = static_cast<std::uint32_t>(seed.size());
+      seed.push_back(entry);
+    } else if (HeapLess{}(seed[best], entry)) {
+      seed[best] = entry;
+    }
   }
   std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapLess> heap(
       HeapLess{}, std::move(seed));
@@ -704,6 +732,12 @@ void IncrementalPlanner::rebuild(const std::vector<util::Epc>& scene,
   is_target_.clear();
   target_slots_.clear();
   tries_.assign(epc_bits_, Trie{});
+  // Recycle every row's targets buffer, last row first, so the rebuilt
+  // table's row i pops the old row i's buffer.
+  for (auto it = arena_.edges.rbegin(); it != arena_.edges.rend(); ++it) {
+    it->targets.clear();
+    arena_.spare_targets.push_back(std::move(it->targets));
+  }
   arena_.edges.clear();
   arena_.nodes.clear();
   arena_.free_edges.clear();
@@ -742,6 +776,14 @@ void IncrementalPlanner::rebuild(const std::vector<util::Epc>& scene,
     const std::size_t chunks = std::min(threads, epc_bits_);
     std::vector<Arena> arenas(chunks);
     std::vector<Scratch> scratches(chunks);
+    // Deal the spare buffers out evenly.
+    auto& spares = arena_.spare_targets;
+    const auto share = static_cast<std::ptrdiff_t>(spares.size() / chunks);
+    for (Arena& a : arenas) {
+      a.spare_targets.assign(std::make_move_iterator(spares.end() - share),
+                             std::make_move_iterator(spares.end()));
+      spares.erase(spares.end() - share, spares.end());
+    }
     pool_->run(chunks, [&](std::size_t k) {
       const std::size_t p0 = k * epc_bits_ / chunks;
       const std::size_t p1 = (k + 1) * epc_bits_ / chunks;
@@ -756,6 +798,12 @@ void IncrementalPlanner::rebuild(const std::vector<util::Epc>& scene,
                    (k + 1) * epc_bits_ / chunks);
     }
   }
+  // A rebuild only allocates: the table holds exactly the rows it built.
+  assert(arena_.free_edges.empty() &&
+         arena_.edges.size() == arena_.live_edges);
+  // Release the buffers no row took, so the pool follows the structure.
+  arena_.spare_targets.clear();
+  arena_.spare_targets.shrink_to_fit();
   built_ = true;
 }
 

@@ -43,7 +43,16 @@
 //     gain is strictly higher in every round.  The skip is taken only
 //     where the two costs are far enough apart that the rounded gains
 //     differ too; fit()'s slope clamp (τ̄ = 1e-9 s at τ0 = 19 ms) clears
-//     that margin by seven orders of magnitude.
+//     that margin by seven orders of magnitude.  Of the rows that cover
+//     a single target t, only t's HeapLess-best one is seeded: each gains
+//     1/C(count) while t is uncovered and 0 after, so their (gain, key)
+//     order is the same in every round and no other one can win.
+//
+//   * A target path stops expanding once its scratch set holds only the
+//     target: the target always matches itself, so such a path never
+//     branches again and its current edge is the terminal one.  Freed
+//     and rebuilt rows keep their covered-target buffers (free list and
+//     Arena::spare_targets), so a rebuild reallocates none it can reuse.
 //
 //   * Past a configurable churn threshold (fraction of the scene changed
 //     in one cycle), incremental maintenance stops paying off and the
@@ -192,6 +201,9 @@ class IncrementalPlanner {
     std::vector<Node> nodes;
     std::vector<std::uint32_t> free_edges;
     std::vector<std::uint32_t> free_nodes;
+    /// Empty targets buffers a rebuild recycles: alloc_edge() hands them
+    /// to new rows, and the rebuild releases the ones left over.
+    std::vector<std::vector<std::uint32_t>> spare_targets;
     std::size_t live_edges = 0;
   };
 
@@ -297,6 +309,8 @@ class IncrementalPlanner {
   Scratch scratch_;
   std::vector<std::uint32_t> rank_;       ///< Slot → EPC-sorted position.
   std::vector<std::uint8_t> remaining_;   ///< Per-slot uncovered flag.
+  /// Per-slot seed index of the target's best single-target row.
+  std::vector<std::uint32_t> best_single_;
   std::vector<double> cost_memo_;
   /// The plan last returned, reused verbatim by delta-free cycles; empty
   /// before the first plan and while a greedy run has not completed.

@@ -49,13 +49,22 @@ inline std::string format_double(double v) {
   return buf;
 }
 
-inline std::uint64_t fnv1a(std::string_view bytes) {
+/// FNV-1a 64-bit fed in pieces: update(a) then update(b) hashes a + b.
+struct Fnv1a {
   std::uint64_t h = 1469598103934665603ull;  // FNV-1a 64-bit offset basis.
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
+
+  void update(std::string_view bytes) {
+    for (const char c : bytes) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 1099511628211ull;
+    }
   }
-  return h;
+};
+
+inline std::uint64_t fnv1a(std::string_view bytes) {
+  Fnv1a hash;
+  hash.update(bytes);
+  return hash.h;
 }
 
 /// Parses the fields of one journal line.  Each getter throws

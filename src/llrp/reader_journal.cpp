@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "llrp/journal_codec.hpp"
-#include "llrp/rospec_xml.hpp"
 
 namespace tagwatch::llrp {
 
@@ -20,8 +19,6 @@ using journal_codec::sanitize_field;
 constexpr const char* kHeader = "# tagwatch-reader-journal v1";
 
 }  // namespace
-
-std::uint64_t rospec_digest(const ROSpec& spec) { return fnv1a(to_xml(spec)); }
 
 std::uint64_t journal_digest(const ReaderJournal& journal) {
   return fnv1a(journal.to_csv());

@@ -2,10 +2,11 @@
 //
 // LLRP tooling (the LTK the paper uses) configures readers with ROSpec XML
 // documents (paper Fig. 11).  This writes what Tagwatch sends to the
-// reader, for inspection and export; nothing reads it back.  Its exact
-// bytes are also the input of rospec_digest(), so every journal digest
-// depends on this formatting.  The dialect is a compact element-per-field
-// subset, e.g.:
+// reader, for inspection and export; nothing reads it back.  One writer
+// emits the text either into a string (to_xml) or straight into
+// rospec_digest()'s FNV-1a hash, so the digest never builds the string;
+// every journal digest depends on this formatting.  The dialect is a
+// compact element-per-field subset, e.g.:
 //
 //   <ROSpec id="1" priority="0" loops="1">
 //     <AISpec session="1" initialQ="4">

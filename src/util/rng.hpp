@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <random>
+#include <stdexcept>
 
 namespace tagwatch::util {
 
@@ -34,8 +35,14 @@ class Rng {
     return std::uniform_real_distribution<double>(lo, hi)(engine_);
   }
 
-  /// Gaussian with the given mean and standard deviation.
+  /// Gaussian with the given mean and standard deviation.  A stddev of 0
+  /// returns the mean without drawing; a negative one throws
+  /// std::invalid_argument.
   double normal(double mean = 0.0, double stddev = 1.0) {
+    if (stddev == 0.0) return mean;
+    if (stddev < 0.0) {
+      throw std::invalid_argument("Rng::normal: stddev must be >= 0");
+    }
     return std::normal_distribution<double>(mean, stddev)(engine_);
   }
 

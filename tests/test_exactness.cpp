@@ -4,6 +4,8 @@
 //   * time helpers round-trip
 #include <gtest/gtest.h>
 
+#include <random>
+#include <stdexcept>
 #include <string>
 
 #include "core/setcover.hpp"
@@ -95,6 +97,22 @@ TEST(Rng, ForkProducesIndependentStreams) {
   util::Rng c1 = p1.fork(), c2 = p2.fork();
   for (int i = 0; i < 16; ++i) {
     EXPECT_EQ(c1.uniform_u64(0, 1'000'000), c2.uniform_u64(0, 1'000'000));
+  }
+}
+
+TEST(Rng, NormalWithZeroStddevReturnsMean) {
+  util::Rng rng(2017);
+  util::Rng untouched(2017);
+  // sigma = 0 is a point mass: the mean, with no draw taken.
+  EXPECT_EQ(rng.normal(1.25, 0.0), 1.25);
+  EXPECT_EQ(rng.normal(), untouched.normal());
+  EXPECT_THROW(rng.normal(0.0, -1.0), std::invalid_argument);
+  // sigma > 0 draws exactly what a fresh std::normal_distribution draws.
+  util::Rng drawn(99);
+  std::mt19937_64 engine(99);
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(drawn.normal(0.5, 2.0),
+              std::normal_distribution<double>(0.5, 2.0)(engine));
   }
 }
 

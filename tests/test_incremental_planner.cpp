@@ -15,6 +15,7 @@
 #include "core/incremental_planner.hpp"
 #include "core/setcover.hpp"
 #include "util/rng.hpp"
+#include "util/task_pool.hpp"
 
 namespace tagwatch::core {
 namespace {
@@ -23,8 +24,10 @@ namespace {
 /// the extracted vectors match CycleReport's sorted/deduplicated contract.
 class ChurnScene {
  public:
-  ChurnScene(std::size_t n, std::size_t n_targets, util::Rng& rng) {
-    while (tags_.size() < n) tags_.emplace(util::Epc::random(rng), false);
+  ChurnScene(std::size_t n, std::size_t n_targets, util::Rng& rng,
+             std::size_t bits = util::Epc::kBits96)
+      : bits_(bits) {
+    while (tags_.size() < n) tags_.emplace(util::Epc::random(rng, bits_), false);
     set_random_targets(n_targets, rng);
   }
 
@@ -33,14 +36,32 @@ class ChurnScene {
     for (std::size_t i = 0; i < departures && tags_.size() > 1; ++i) {
       tags_.erase(random_it(rng));
     }
-    for (std::size_t i = 0; i < arrivals; ++i) {
-      tags_.emplace(util::Epc::random(rng), false);
-    }
+    arrive(arrivals, false, rng);
     for (std::size_t i = 0; i < flips; ++i) {
       auto it = random_it(rng);
       it->second = !it->second;
     }
     ensure_target(rng);
+  }
+
+  /// Adds `n` tags not yet in the scene, as targets when `as_targets`.
+  void arrive(std::size_t n, bool as_targets, util::Rng& rng) {
+    for (std::size_t added = 0; added < n;) {
+      if (tags_.emplace(util::Epc::random(rng, bits_), as_targets).second) {
+        ++added;
+      }
+    }
+  }
+
+  /// Turns random targets back into plain tags until `k` remain.
+  void keep_targets(std::size_t k, util::Rng& rng) {
+    for (std::size_t n = targets().size(); n > k;) {
+      auto it = random_it(rng);
+      if (it->second) {
+        it->second = false;
+        --n;
+      }
+    }
   }
 
   void set_random_targets(std::size_t n_targets, util::Rng& rng) {
@@ -78,6 +99,7 @@ class ChurnScene {
     random_it(rng)->second = true;
   }
 
+  std::size_t bits_;
   std::map<util::Epc, bool> tags_;
 };
 
@@ -117,13 +139,31 @@ void expect_cycle_matches_oracle(IncrementalPlanner& planner,
                              oracle_plan(scene, targets, planner.cost_model()));
 }
 
+/// Conveyor churn at fleet scale: each cycle 4 arrivals join as targets,
+/// 4 random tags (targets included) depart, and the target set is trimmed
+/// to 4–10, checked against the oracle every cycle.  The trimming flips
+/// decide whether a cycle crosses the churn threshold.
+void expect_conveyor_churn_matches_oracle(IncrementalPlanner& planner,
+                                          ChurnScene& world, util::Rng& rng,
+                                          int cycles) {
+  expect_cycle_matches_oracle(planner, world);
+  for (int cycle = 0; cycle < cycles; ++cycle) {
+    world.churn(4, 0, 0, rng);
+    world.arrive(4, true, rng);
+    world.keep_targets(4 + rng.below(7), rng);
+    SCOPED_TRACE(cycle);
+    expect_cycle_matches_oracle(planner, world);
+  }
+}
+
 /// Random scene churn and 1..max_targets fresh targets per cycle under
 /// `cost`, checked against the oracle every cycle.
 void expect_churn_matches_oracle(const InventoryCostModel& cost,
                                  std::uint64_t seed,
-                                 std::uint32_t max_targets) {
+                                 std::uint32_t max_targets,
+                                 std::size_t bits = util::Epc::kBits96) {
   util::Rng rng(seed);
-  ChurnScene world(512, max_targets, rng);
+  ChurnScene world(512, max_targets, rng, bits);
   IncrementalPlanner planner(cost, 0.25);
   expect_cycle_matches_oracle(planner, world);
   for (int cycle = 0; cycle < 12; ++cycle) {
@@ -286,11 +326,42 @@ TEST(IncrementalPlanner, NearFlatCostModelStaysEquivalent) {
   expect_churn_matches_oracle(InventoryCostModel(0.019, 1e-9), 808, 16);
 }
 
+TEST(IncrementalPlanner, ShortEpcsSharingSuffixClassesStayEquivalent) {
+  // 12- and 16-bit EPCs: the tries end in suffix classes shared by several
+  // tags (and targets), and a target's single-target rows of equal count
+  // tie on gain under the slope clamp, so the tie key alone must pick the
+  // one row the greedy seeds for it.
+  expect_churn_matches_oracle(InventoryCostModel(0.019, 1e-9), 1616, 16, 16);
+  expect_churn_matches_oracle(InventoryCostModel(0.019, 1e-9), 808, 16, 12);
+}
+
 TEST(IncrementalPlanner, UnseparableCostModelStaysEquivalent) {
   // Every C(n) rounds to the same double: gains tie and the tie key picks
   // the shortest mask on a lone target's path, a row with a blob below
   // it, so no row may be skipped as dominated.
   expect_churn_matches_oracle(InventoryCostModel(0.019, 1e-300), 909, 3);
+}
+
+TEST(IncrementalPlanner, FleetSizedConveyorChurnStaysEquivalent) {
+  util::Rng rng(2017);
+  ChurnScene world(64, 6, rng);
+  IncrementalPlanner planner(InventoryCostModel::paper_fit());
+  expect_conveyor_churn_matches_oracle(planner, world, rng, 48);
+  EXPECT_GE(planner.stats().full_rebuilds, 5u);
+  EXPECT_GE(planner.stats().incremental_cycles, 5u);
+}
+
+TEST(IncrementalPlanner, BackToBackRebuildsStayEquivalentSerialAndPooled) {
+  // Threshold 0 rebuilds on every delta; rebuild() asserts that the edge
+  // table then holds exactly the rows it built, serial and pooled alike.
+  util::TaskPool pool(2);
+  for (util::TaskPool* p : {static_cast<util::TaskPool*>(nullptr), &pool}) {
+    util::Rng rng(4242);
+    ChurnScene world(64, 6, rng);
+    IncrementalPlanner planner(InventoryCostModel::paper_fit(), 0.0, p);
+    expect_conveyor_churn_matches_oracle(planner, world, rng, 12);
+    EXPECT_EQ(planner.stats().full_rebuilds, 13u);
+  }
 }
 
 TEST(IncrementalPlanner, ZeroThresholdRebuildsOnAnyDelta) {

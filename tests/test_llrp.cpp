@@ -1,12 +1,19 @@
 // Tests for ROSpec structures, the XML export, and the SimReaderClient.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "llrp/journal_codec.hpp"
+#include "llrp/reader_journal.hpp"
 #include "llrp/rospec.hpp"
 #include "llrp/rospec_xml.hpp"
 #include "llrp/sim_reader_client.hpp"
 #include "util/circular.hpp"
+#include "util/epc.hpp"
+#include "util/rng.hpp"
 
 namespace tagwatch::llrp {
 namespace {
@@ -56,6 +63,50 @@ TEST(RospecXml, RoundTripPreservesEverything) {
             "    <StopTrigger kind=\"rounds\" rounds=\"4\"/>\n"
             "  </AISpec>\n"
             "</ROSpec>\n");
+}
+
+TEST(RospecXml, DigestHashesTheXmlBytes) {
+  std::vector<ROSpec> specs;
+  specs.push_back(sample_rospec());  // target/rearm, no antennas, rounds.
+  specs.push_back(ROSpec{});         // No AISpec at all.
+  ROSpec wide;
+  wide.id = 4294967295u;
+  wide.priority = 255;
+  wide.loops = 12;
+  AISpec ai;
+  ai.antenna_indexes = {3};
+  ai.stop = AiSpecStopTrigger::after_duration(util::usec(1234567));
+  util::Rng rng(5);
+  ai.filters.push_back({gen2::MemBank::kEpc, 0,
+                        util::Epc::random(rng).bits(), /*truncate=*/true});
+  wide.ai_specs.push_back(ai);
+  ai.stop = AiSpecStopTrigger::after_rounds(1000000);
+  ai.filters.clear();
+  wide.ai_specs.push_back(ai);
+  specs.push_back(wide);
+  EXPECT_NE(to_xml(wide).find(" truncate=\"1\""), std::string::npos);
+  EXPECT_NE(to_xml(wide).find(" ms=\"1234.57\"/>"), std::string::npos);
+  EXPECT_NE(to_xml(wide).find(" rounds=\"1000000\"/>"), std::string::npos);
+  for (const ROSpec& spec : specs) {
+    EXPECT_EQ(rospec_digest(spec), journal_codec::fnv1a(to_xml(spec)));
+  }
+}
+
+TEST(RospecXml, DurationsFormatLikePrintfSixSignificantDigits) {
+  for (const std::int64_t us :
+       {std::int64_t{0}, std::int64_t{1}, std::int64_t{1500},
+        std::int64_t{1234567}, std::int64_t{999999500},
+        std::int64_t{1000000000000}}) {
+    ROSpec spec;
+    AISpec ai;
+    ai.stop = AiSpecStopTrigger::after_duration(util::usec(us));
+    spec.ai_specs.push_back(ai);
+    char expected[64];
+    std::snprintf(expected, sizeof(expected), " ms=\"%.6g\"/>",
+                  static_cast<double>(us) / 1e3);
+    EXPECT_NE(to_xml(spec).find(expected), std::string::npos) << expected;
+    EXPECT_EQ(rospec_digest(spec), journal_codec::fnv1a(to_xml(spec)));
+  }
 }
 
 // ----------------------------------------------------- SimReaderClient

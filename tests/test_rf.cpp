@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <complex>
+#include <vector>
 
 #include "rf/channel.hpp"
 #include "rf/channel_plan.hpp"
@@ -194,6 +196,38 @@ TEST_F(RfChannelTest, MovingReflectorCausesPhaseJumps) {
                        .phase_rad);
   }
   EXPECT_GT(busy_stats.stddev(), clear_stats.stddev() * 1.5);
+}
+
+TEST(RfChannel, ZeroNoiseReturnsTheQuantizedNoiseFreeObservation) {
+  ChannelNoise quiet;
+  quiet.phase_noise_stddev_rad = 0.0;
+  quiet.rssi_noise_stddev_db = 0.0;
+  const ChannelPlan plan = ChannelPlan::china_920_926();
+  const RfChannel channel(plan, quiet);
+  const Antenna antenna{1, {0, 0, 0}, 8.0};
+  const util::Vec3 tag{1.5, 0.5, 0};
+  const std::vector<Reflector> reflectors{{{0.9, 0.15, 0}, 0.5}};
+  util::Rng rng(17);
+  const RfObservation obs =
+      channel.observe(antenna, tag, 0.7, reflectors, 3, rng);
+
+  const double lambda = plan.wavelength_m(3);
+  const PathSet paths = compute_paths(antenna.position, tag, reflectors);
+  const std::complex<double> h = backscatter_channel(paths, lambda, 0.7);
+  const std::complex<double> h_los =
+      backscatter_channel(PathSet{paths.los_m, {}, {}}, lambda, 0.7);
+  const double q_phase = quiet.phase_quantum_rad;
+  EXPECT_EQ(obs.phase_rad,
+            util::wrap_to_2pi(std::round(util::wrap_to_2pi(std::arg(h)) /
+                                         q_phase) *
+                              q_phase));
+  const double rssi =
+      backscatter_rssi_dbm(paths.los_m, lambda, 32.5, antenna.gain_dbi - 18.0) +
+      20.0 * std::log10(std::abs(h) / std::abs(h_los));
+  EXPECT_EQ(obs.rssi_dbm, std::round(rssi / 0.5) * 0.5);
+  // No draw was taken.
+  util::Rng fresh(17);
+  EXPECT_EQ(rng.uniform(), fresh.uniform());
 }
 
 }  // namespace
