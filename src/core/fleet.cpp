@@ -41,77 +41,6 @@ TakeoverPolicy takeover_policy_from_string(std::string_view name) {
                               "' (expected none|static|adaptive)");
 }
 
-// --------------------------------------------------------------- ZoneLedger
-
-void ZoneLedger::sync() {
-  const std::vector<sim::SimTag>& tags = world_->tags();
-  if (world_->structure_epoch() != epoch_) {
-    // remove_tag() shifted indexes: stash ownership by EPC (a removed tag
-    // that re-enters keeps its owner, so its first re-sighting by another
-    // reader is still a handoff), then rebuild densely.
-    for (std::size_t i = 0; i < owner_.size(); ++i) {
-      if (owner_[i] != kUnowned) {
-        departed_.insert_or_assign(epcs_[i], owner_[i]);
-      }
-    }
-    owner_.clear();
-    epcs_.clear();
-    epoch_ = world_->structure_epoch();
-  }
-  for (std::size_t i = owner_.size(); i < tags.size(); ++i) {
-    const util::Epc& epc = tags[i].epc;
-    const auto it = departed_.find(epc);
-    if (it != departed_.end()) {
-      owner_.push_back(it->second);
-      departed_.erase(it);
-    } else {
-      owner_.push_back(kUnowned);
-    }
-    epcs_.push_back(epc);
-  }
-}
-
-std::size_t ZoneLedger::assign(const util::Epc& epc, std::size_t reader) {
-  if (world_ == nullptr) {
-    const auto it = by_epc_.find(epc);
-    const std::size_t prev = it == by_epc_.end() ? kUnowned : it->second;
-    by_epc_[epc] = reader;
-    return prev;
-  }
-  sync();
-  if (const auto idx = world_->find_tag(epc)) {
-    const std::size_t prev = owner_[*idx];
-    owner_[*idx] = reader;
-    return prev;
-  }
-  // Reading for a tag no longer in the world (removed since it was read):
-  // track it through the departed stash.
-  const auto it = departed_.find(epc);
-  const std::size_t prev = it == departed_.end() ? kUnowned : it->second;
-  departed_[epc] = reader;
-  return prev;
-}
-
-std::vector<util::Epc> ZoneLedger::owned_by(std::size_t reader) const {
-  std::vector<util::Epc> out;
-  if (world_ == nullptr) {
-    for (const auto& [epc, owner] : by_epc_) {
-      if (owner == reader) out.push_back(epc);
-    }
-  } else {
-    for (std::size_t i = 0; i < owner_.size(); ++i) {
-      if (owner_[i] == reader) out.push_back(epcs_[i]);
-    }
-    for (const auto& [epc, owner] : departed_) {
-      if (owner == reader) out.push_back(epc);
-    }
-  }
-  // The maps iterate in hash order; sorting keeps the orphan queue (and
-  // everything downstream of it) identical across record and replay.
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 // --------------------------------------------------------------- FleetHealth
 
 FleetHealth::FleetHealth(std::size_t readers, FleetResilienceConfig config)
@@ -259,9 +188,8 @@ class FleetController::TapSink final : public ReadingSink {
 
 FleetController::FleetController(FleetConfig config,
                                  std::vector<FleetReaderSpec> readers,
-                                 const sim::World* world)
-    : config_(std::move(config)), ledger_(world),
-      health_(readers.size(), config_.resilience) {
+                                 const sim::World* /*ignored*/)
+    : config_(std::move(config)), health_(readers.size(), config_.resilience) {
   if (readers.empty()) {
     throw std::invalid_argument("FleetController: need at least one reader");
   }
@@ -355,45 +283,31 @@ FleetCycleReport FleetController::run_cycle() {
     // dedup window is suppressed.  Same-reader repeats always pass (the
     // rate-adaptive product is repeated reading), and suppressed readings
     // do not refresh last-seen — a tag camped on a zone seam keeps one
-    // owner instead of flapping.
-    // Recovered orphans ride in their own batches so fault-free runs keep
-    // their exact batch structure (empty batches are no-ops).
-    std::vector<rf::TagReading> phase1, phase2, recovered1, recovered2;
+    // owner instead of flapping.  A delivered sighting whose last owner
+    // was another reader is a handoff.
+    std::vector<rf::TagReading> phase1, phase2;
     for (TapSink::Tapped& t : slot.tap->drain()) {
       ++fleet.readings_total;
       const auto seen = last_seen_.find(t.reading.epc);
-      const bool duplicate = seen != last_seen_.end() &&
-                             seen->second.reader != k &&
-                             t.reading.timestamp - seen->second.at <=
-                                 config_.dedup_window;
-      if (duplicate) {
-        ++row.duplicates;
-        continue;
+      if (seen != last_seen_.end() && seen->second.reader != k) {
+        if (t.reading.timestamp - seen->second.at <= config_.dedup_window) {
+          ++row.duplicates;
+          continue;
+        }
+        fleet.handoffs.push_back(
+            {t.reading.epc, seen->second.reader, k, t.reading.timestamp});
       }
       last_seen_[t.reading.epc] = {k, t.reading.timestamp};
-      const std::size_t prev = ledger_.assign(t.reading.epc, k);
-      if (prev != ZoneLedger::kUnowned && prev != k) {
-        fleet.handoffs.push_back(
-            {t.reading.epc, prev, k, t.reading.timestamp});
-      }
       ++row.delivered;
-      const bool was_orphan = recover_set_.erase(t.reading.epc) > 0;
-      if (was_orphan) ++recover_stats_.recovered;
-      const bool p2 = t.phase == ReadPhase::kPhase2;
-      (was_orphan ? (p2 ? recovered2 : recovered1) : (p2 ? phase2 : phase1))
+      if (recover_set_.erase(t.reading.epc) > 0) ++recover_stats_.recovered;
+      (t.phase == ReadPhase::kPhase2 ? phase2 : phase1)
           .push_back(std::move(t.reading));
     }
 
     pipeline_.dispatch_batch(
         phase1, ReadingContext{fleet.cycle_index, ReadPhase::kPhase1, k});
     pipeline_.dispatch_batch(
-        recovered1,
-        ReadingContext{fleet.cycle_index, ReadPhase::kPhase1, k, true});
-    pipeline_.dispatch_batch(
         phase2, ReadingContext{fleet.cycle_index, ReadPhase::kPhase2, k});
-    pipeline_.dispatch_batch(
-        recovered2,
-        ReadingContext{fleet.cycle_index, ReadPhase::kPhase2, k, true});
 
     fleet.delivered_total += row.delivered;
     fleet.duplicates_total += row.duplicates;
@@ -453,16 +367,22 @@ void FleetController::on_reader_down(std::size_t reader,
   fleet.downs.push_back({fleet.cycle_index, reader, down.original_zone.name,
                          health_.consecutive_failures(reader)});
 
-  // Everything the dead reader owned becomes an orphan awaiting re-cover.
-  // The queue is bounded: over capacity, drop (and count) rather than grow.
-  for (util::Epc& epc : ledger_.owned_by(reader)) {
+  // Everything the dead reader owned (last delivered) becomes an orphan
+  // awaiting re-cover.  Sorted, so which orphans a full queue drops does
+  // not depend on hash order.  The queue is bounded: over capacity, drop
+  // (and count) rather than grow.
+  std::vector<util::Epc> owned;
+  for (const auto& [epc, seen] : last_seen_) {
+    if (seen.reader == reader) owned.push_back(epc);
+  }
+  std::sort(owned.begin(), owned.end());
+  for (util::Epc& epc : owned) {
     if (recover_set_.contains(epc)) continue;
     if (recover_set_.size() >= config_.resilience.recover_queue_capacity) {
       ++recover_stats_.dropped;
       continue;
     }
-    recover_set_.insert(epc);
-    recover_queue_.push_back(std::move(epc));
+    recover_set_.insert(std::move(epc));
     ++recover_stats_.enqueued;
   }
 
@@ -535,17 +455,10 @@ void FleetController::refresh_extra_targets() {
   if (config_.takeover != TakeoverPolicy::kAdaptive || grants_.empty()) {
     return;
   }
-  // Compact the FIFO against the membership set (delivered orphans were
-  // retired from the set only) and pin what is left as Phase II targets on
-  // every surviving expander.
-  std::size_t w = 0;
-  for (std::size_t r = 0; r < recover_queue_.size(); ++r) {
-    if (recover_set_.contains(recover_queue_[r])) {
-      recover_queue_[w++] = recover_queue_[r];
-    }
-  }
-  recover_queue_.resize(w);
-  std::vector<util::Epc> targets(recover_queue_.begin(), recover_queue_.end());
+  // Pin the pending orphans as Phase II targets on every surviving
+  // expander.  Order is irrelevant: the controller sorts its targets.
+  const std::vector<util::Epc> targets(recover_set_.begin(),
+                                       recover_set_.end());
   for (const TakeoverGrant& g : grants_) {
     readers_[g.to].controller->set_extra_targets(targets);
   }

@@ -30,7 +30,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -146,39 +145,6 @@ struct FleetCycleReport {
   }
 };
 
-/// Tracks which reader last owned each tag, for handoff detection.  Backed
-/// by a dense per-tag-index vector synced against World::structure_epoch()
-/// (exactly like the gen2 flag mirror) when a world is available; falls
-/// back to an EPC-keyed map otherwise (replay has no world).  Both paths
-/// produce identical handoff events.
-class ZoneLedger {
- public:
-  static constexpr std::size_t kUnowned = static_cast<std::size_t>(-1);
-
-  /// `world` may be nullptr (EPC-map fallback) and is non-owning.
-  explicit ZoneLedger(const sim::World* world) : world_(world) {}
-
-  /// Records that `reader` just read `epc`; returns the previous owner
-  /// (kUnowned on first sighting).
-  std::size_t assign(const util::Epc& epc, std::size_t reader);
-
-  /// Every EPC currently owned by `reader` (present or departed), sorted —
-  /// the orphan set a takeover must re-cover when that reader dies.
-  std::vector<util::Epc> owned_by(std::size_t reader) const;
-
- private:
-  void sync();
-
-  const sim::World* world_ = nullptr;
-  // Dense path (world-backed).
-  std::vector<std::size_t> owner_;
-  std::vector<util::Epc> epcs_;
-  std::unordered_map<util::Epc, std::size_t> departed_;
-  std::uint64_t epoch_ = 0;
-  // Fallback path (no world).
-  std::unordered_map<util::Epc, std::size_t> by_epc_;
-};
-
 /// Per-reader availability state machine: aggregates each run cycle's
 /// outcome (blackout? errored? over budget?) into the Healthy → Suspect →
 /// Down → Probation → Healthy lifecycle.  Pure bookkeeping over counters —
@@ -253,11 +219,11 @@ class FleetHealth {
 /// N coordinated rate-adaptive readers over one scene.
 class FleetController {
  public:
-  /// `readers` must be non-empty with non-null clients.  `world` is
-  /// optional (non-owning): when given, handoff tracking uses the dense
-  /// structure_epoch-synced ledger; replay transports pass nullptr.
+  /// `readers` must be non-empty with non-null clients.  The third
+  /// parameter is ignored: ownership is keyed by EPC, so no world is
+  /// needed.  It remains only for callers that still pass one.
   FleetController(FleetConfig config, std::vector<FleetReaderSpec> readers,
-                  const sim::World* world = nullptr);
+                  const sim::World* /*ignored*/ = nullptr);
 
   /// Runs one cycle on every reader, in fixed TDM order, and reports.
   FleetCycleReport run_cycle();
@@ -300,6 +266,9 @@ class FleetController {
     std::shared_ptr<TapSink> tap;
   };
 
+  /// The fleet's one per-EPC record: the reader whose delivered reading
+  /// of the tag came last, and when.  Dedup windows, handoffs (a delivery
+  /// by another reader) and a Down reader's orphan set all read it.
   struct LastSeen {
     std::size_t reader = 0;
     util::SimTime at{0};
@@ -331,14 +300,11 @@ class FleetController {
   std::vector<ReaderSlot> readers_;
   ReadingPipeline pipeline_;
   llrp::FleetJournal journal_;
-  ZoneLedger ledger_;
   std::unordered_map<util::Epc, LastSeen> last_seen_;
   std::size_t cycle_counter_ = 0;
   FleetHealth health_;
   std::vector<TakeoverGrant> grants_;
-  /// Bounded FIFO of orphaned EPCs awaiting a post-takeover sighting,
-  /// with a membership set for O(1) retirement on delivery.
-  std::deque<util::Epc> recover_queue_;
+  /// Bounded set of orphaned EPCs awaiting a post-takeover sighting.
   std::unordered_set<util::Epc> recover_set_;
   RecoverStats recover_stats_;
 };

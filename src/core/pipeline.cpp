@@ -79,7 +79,6 @@ void ReadingPipeline::dispatch_batch(
       }
       if (accepted) {
         ++stats.delivered;
-        if (context.recovered) ++stats.recovered;
       } else {
         ++stats.dropped;
       }

@@ -39,10 +39,6 @@ struct ReadingContext {
   /// accounting attribute per source, so one slow zone shows up as that
   /// zone, not as an aggregate.
   std::size_t source_id = 0;
-  /// True when the reading retired an entry of the fleet's re-cover queue:
-  /// a tag orphaned by a Down reader, now re-covered by a survivor's
-  /// expanded zone.  Accounted per sink in SinkStats::recovered.
-  bool recovered = false;
 };
 
 /// One consumer of the reading stream.
@@ -73,9 +69,6 @@ struct SinkStats {
   std::size_t source_id = 0;
   std::uint64_t delivered = 0;  ///< Readings the sink accepted.
   std::uint64_t dropped = 0;    ///< Readings the sink declined or threw on.
-  /// Delivered readings flagged ReadingContext::recovered — orphans of a
-  /// Down reader re-covered through zone takeover.
-  std::uint64_t recovered = 0;
   /// Calls on which the sink threw — on_reading throws (each also counted
   /// in `dropped`) plus on_cycle_end throws.  A throwing sink is isolated:
   /// delivery continues to the remaining sinks and the cycle never crashes.

@@ -1,12 +1,13 @@
 // Tag-side persistent protocol state (flags) and Select evaluation.
 //
 // Real Gen2 tags hold an SL flag and four per-session inventoried flags in
-// volatile state.  The simulator keeps them here, keyed by EPC, and applies
-// Select commands exactly as the spec's match/non-match action table does.
+// volatile state.  TagFlags models one tag's flags; the simulator keeps the
+// population's in the dense gen2::TagFlagField mirror (flag_field.hpp) and
+// applies Select commands exactly as the spec's match/non-match action
+// table does.
 #pragma once
 
 #include <array>
-#include <unordered_map>
 
 #include "gen2/commands.hpp"
 #include "util/epc.hpp"
@@ -157,45 +158,5 @@ void apply_select_action(const SelectCommand& cmd, bool matched,
 void apply_select_action(const SelectCommand& cmd, bool matched,
                          TagFlags& flags, util::SimTime now,
                          const SessionTiming& timing);
-
-/// Flag store for the whole population.  Operator[] default-constructs the
-/// power-up state (SL deasserted, all sessions A), which is what a tag
-/// entering the field presents.  Retained as the differential oracle the
-/// dense TagFlagField mirror is validated against.
-class FlagStore {
- public:
-  TagFlags& operator[](const util::Epc& epc) { return flags_[epc]; }
-
-  const TagFlags* find(const util::Epc& epc) const {
-    const auto it = flags_.find(epc);
-    return it == flags_.end() ? nullptr : &it->second;
-  }
-
-  /// Broadcasts a Select to every tag in `epcs`.
-  template <typename EpcRange>
-  void broadcast_select(const SelectCommand& cmd, const EpcRange& epcs) {
-    for (const auto& epc : epcs) {
-      apply_select_action(cmd, select_matches(cmd, epc), (*this)[epc]);
-    }
-  }
-
-  /// Timed broadcast: stamps decay deadlines per `timing`.
-  template <typename EpcRange>
-  void broadcast_select(const SelectCommand& cmd, const EpcRange& epcs,
-                        util::SimTime now, const SessionTiming& timing) {
-    for (const auto& epc : epcs) {
-      apply_select_action(cmd, select_matches(cmd, epc), (*this)[epc], now,
-                          timing);
-    }
-  }
-
-  /// Drops state for tags that left the field.
-  void forget(const util::Epc& epc) { flags_.erase(epc); }
-  void clear() { flags_.clear(); }
-  std::size_t size() const noexcept { return flags_.size(); }
-
- private:
-  std::unordered_map<util::Epc, TagFlags> flags_;
-};
 
 }  // namespace tagwatch::gen2

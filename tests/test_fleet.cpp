@@ -5,11 +5,13 @@
 
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/fleet.hpp"
+#include "llrp/fault_injection.hpp"
 #include "llrp/recording_reader_client.hpp"
 #include "llrp/replay_reader_client.hpp"
 #include "llrp/sim_reader_client.hpp"
@@ -100,14 +102,14 @@ TEST(FleetController, SessionPolicyAssignsPerReaderSessions) {
   FleetBed bed(2, 2, 0);
   FleetConfig cfg = short_fleet_config();
   cfg.policy = SessionPolicy::kPerReader;
-  FleetController fleet(cfg, bed.specs, &bed.world);
+  FleetController fleet(cfg, bed.specs);
   EXPECT_EQ(fleet.reader_session(0), gen2::Session::kS0);
   EXPECT_EQ(fleet.reader_session(1), gen2::Session::kS1);
 
   cfg.policy = SessionPolicy::kShared;
   cfg.shared_session = gen2::Session::kS3;
   FleetBed bed2(2, 2, 0);
-  FleetController shared(cfg, bed2.specs, &bed2.world);
+  FleetController shared(cfg, bed2.specs);
   EXPECT_EQ(shared.reader_session(0), gen2::Session::kS3);
   EXPECT_EQ(shared.reader_session(1), gen2::Session::kS3);
   EXPECT_EQ(shared.journal().setup.policy, "shared");
@@ -118,7 +120,7 @@ TEST(FleetController, PlannerConfigPropagatesToEveryReader) {
   FleetConfig cfg = short_fleet_config();
   cfg.controller.planner.incremental = true;
   cfg.controller.planner.churn_threshold = 0.5;
-  FleetController fleet(cfg, bed.specs, &bed.world);
+  FleetController fleet(cfg, bed.specs);
   for (std::size_t r = 0; r < 2; ++r) {
     EXPECT_TRUE(fleet.controller(r).config().planner.incremental);
     EXPECT_EQ(fleet.controller(r).config().planner.churn_threshold, 0.5);
@@ -151,7 +153,7 @@ TEST(SessionPolicy, NamesRoundTrip) {
 
 TEST(FleetController, SingleReaderFleetNeverDeduplicates) {
   FleetBed bed(1, 6, 0);
-  FleetController fleet(short_fleet_config(), bed.specs, &bed.world);
+  FleetController fleet(short_fleet_config(), bed.specs);
   const auto reports = fleet.run_cycles(2);
   for (const FleetCycleReport& r : reports) {
     EXPECT_GT(r.readings_total, 0u);
@@ -169,7 +171,7 @@ TEST(FleetController, SeamReadingsAreDedupedAcrossReaders) {
   FleetBed bed(2, 4, 2);
   FleetConfig cfg = short_fleet_config();
   cfg.dedup_window = util::sec(30);  // everything in one window
-  FleetController fleet(cfg, bed.specs, &bed.world);
+  FleetController fleet(cfg, bed.specs);
 
   const FleetCycleReport r = fleet.run_cycle();
   // Reader 0 delivered the seam tags first; every later sighting of them
@@ -189,7 +191,7 @@ TEST(FleetController, HandoffFiresWhenAnotherReaderDeliversTheTag) {
   FleetBed bed(2, 2, 1);
   FleetConfig cfg = short_fleet_config();
   cfg.dedup_window = util::SimDuration::zero();  // dedup off: seam flaps
-  FleetController fleet(cfg, bed.specs, &bed.world);
+  FleetController fleet(cfg, bed.specs);
 
   const FleetCycleReport first = fleet.run_cycle();
   // Reader 0 claimed the seam tag; reader 1's delivered sighting hands it
@@ -215,6 +217,61 @@ TEST(FleetController, HandoffFiresWhenAnotherReaderDeliversTheTag) {
   EXPECT_EQ(h_records, 3u);
 }
 
+TEST(FleetController, OwnershipSurvivesWorldReindexing) {
+  // Reader 0 owns serials 1-3, reader 1 serials 4-6 (disjoint zones).
+  // After cycle 0, serial 1 leaves the world (every later index shifts)
+  // and serial 3 leaves and re-enters inside reader 1's zone.  Reader 0
+  // dies right after cycle 1.  Reader 0 is wrapped in a fault injector in
+  // both runs, so the fault-free twin finds the death time on the same
+  // clock.
+  const util::Epc moved = util::Epc::from_serial(3);
+  const auto run = [&](const llrp::FaultPlan& plan,
+                       util::SimTime& cycle1_end) {
+    FleetBed bed(2, 3, 0);
+    llrp::FaultInjectingReaderClient dying(*bed.clients[0], plan);
+    bed.specs[0].client = &dying;
+    FleetConfig cfg = short_fleet_config();
+    cfg.takeover = TakeoverPolicy::kNone;
+    cfg.resilience.down_after_failures = 1;
+    FleetController fleet(cfg, bed.specs);
+
+    const FleetCycleReport first = fleet.run_cycle();
+    EXPECT_TRUE(first.handoffs.empty());
+    EXPECT_TRUE(bed.world.remove_tag(util::Epc::from_serial(1)));
+    EXPECT_TRUE(bed.world.remove_tag(moved));
+    bed.add_static(3, {4.2, 0.1, 0});
+
+    // Exactly one handoff: reader 0 still owns the re-entered tag when
+    // reader 1 delivers it.
+    const FleetCycleReport second = fleet.run_cycle();
+    EXPECT_EQ(second.readers[1].duplicates, 0u);
+    EXPECT_EQ(second.handoffs.size(), 1u);
+    for (const llrp::FleetHandoffRecord& h : second.handoffs) {
+      EXPECT_EQ(h.epc, moved);
+      EXPECT_EQ(h.from_reader, 0u);
+      EXPECT_EQ(h.to_reader, 1u);
+    }
+    cycle1_end = dying.now();
+    return fleet.run_cycle();
+  };
+
+  util::SimTime cycle1_end{0};
+  const FleetCycleReport fault_free = run({}, cycle1_end);
+  EXPECT_TRUE(fault_free.downs.empty());
+
+  // The same script with reader 0 dead from just before cycle 2.  Its
+  // orphans are serials 1 (departed, last delivered by reader 0) and 2;
+  // serial 3 now belongs to reader 1 and is not orphaned.
+  llrp::FaultPlan outage;
+  outage.outages.push_back({cycle1_end - util::msec(1), std::nullopt});
+  const FleetCycleReport third = run(outage, cycle1_end);
+  ASSERT_EQ(third.downs.size(), 1u);
+  EXPECT_EQ(third.downs[0].reader, 0u);
+  EXPECT_EQ(third.recover.enqueued, 2u);
+  EXPECT_EQ(third.recover.dropped, 0u);
+  EXPECT_EQ(third.recover.pending, 2u);
+}
+
 TEST(FleetController, SharedSessionReadsThePopulationOnce) {
   // Both readers fully overlap (one zone position) and inventory one S2
   // session without re-arming: reader 0's ACKs flip every tag to B, so
@@ -231,7 +288,7 @@ TEST(FleetController, SharedSessionReadsThePopulationOnce) {
   FleetConfig cfg = short_fleet_config();
   cfg.policy = SessionPolicy::kShared;
   cfg.shared_session = gen2::Session::kS2;
-  FleetController fleet(cfg, bed.specs, &bed.world);
+  FleetController fleet(cfg, bed.specs);
 
   const FleetCycleReport first = fleet.run_cycle();
   EXPECT_EQ(first.readers[0].report.phase1_readings, 8u);
@@ -243,7 +300,7 @@ TEST(FleetController, SharedSessionReadsThePopulationOnce) {
 
 TEST(FleetController, IndependentPolicyRereadsEveryCycle) {
   FleetBed bed(2, 3, 0);
-  FleetController fleet(short_fleet_config(), bed.specs, &bed.world);
+  FleetController fleet(short_fleet_config(), bed.specs);
   for (const FleetCycleReport& r : fleet.run_cycles(2)) {
     EXPECT_EQ(r.readers[0].report.phase1_readings, 3u);
     EXPECT_EQ(r.readers[1].report.phase1_readings, 3u);
@@ -254,7 +311,7 @@ TEST(FleetController, IndependentPolicyRereadsEveryCycle) {
 
 TEST(FleetController, FleetPipelineStatsAttributePerReader) {
   FleetBed bed(2, 3, 0);  // disjoint zones: both readers deliver
-  FleetController fleet(short_fleet_config(), bed.specs, &bed.world);
+  FleetController fleet(short_fleet_config(), bed.specs);
   std::size_t delivered = 0;
   fleet.pipeline().add_sink(std::make_shared<CallbackSink>(
       "app", [&delivered](const rf::TagReading&) { ++delivered; }));
@@ -410,7 +467,7 @@ TEST(FleetController, FourReaderRecordReplayPreservesJournalDigests) {
 
   FleetConfig cfg = short_fleet_config();
   cfg.policy = SessionPolicy::kIndependent;
-  FleetController recorded(cfg, recording_specs, &bed.world);
+  FleetController recorded(cfg, recording_specs);
   const auto recorded_reports = recorded.run_cycles(3);
   const std::uint64_t fleet_digest = fleet_journal_digest(recorded.journal());
 
@@ -420,7 +477,7 @@ TEST(FleetController, FourReaderRecordReplayPreservesJournalDigests) {
   EXPECT_GT(dups, 0u);
 
   // Replay: every reader journal round-trips through CSV first, and the
-  // fleet is rebuilt without any world (the EPC-map ledger path).
+  // fleet is rebuilt on the replay clients alone.
   std::vector<std::unique_ptr<llrp::ReplayReaderClient>> replays;
   std::vector<FleetReaderSpec> replay_specs = bed.specs;
   for (std::size_t k = 0; k < recorders.size(); ++k) {
@@ -428,7 +485,7 @@ TEST(FleetController, FourReaderRecordReplayPreservesJournalDigests) {
         llrp::ReaderJournal::from_csv(recorders[k]->journal().to_csv())));
     replay_specs[k].client = replays[k].get();
   }
-  FleetController replayed(cfg, replay_specs, /*world=*/nullptr);
+  FleetController replayed(cfg, replay_specs);
   const auto replayed_reports = replayed.run_cycles(3);
 
   EXPECT_EQ(fleet_journal_digest(replayed.journal()), fleet_digest);

@@ -185,7 +185,7 @@ util::SimTime death_before_cycle(const FleetConfig& cfg,
                                  std::size_t cycles,
                                  std::uint64_t seed = 33) {
   ChaosBed probe(std::move(tags_per_zone), {}, seed);
-  FleetController fleet(cfg, probe.specs, &probe.world);
+  FleetController fleet(cfg, probe.specs);
   fleet.run_cycles(cycles);
   return probe.injectors[0]->now() - util::msec(1);
 }
@@ -204,7 +204,7 @@ TEST(FleetFailover, DeathTriggersTakeoverAndRecoveryRestoresZones) {
   const std::vector<std::size_t> tags{3, 3, 3, 3};
   const util::SimTime death = death_before_cycle(cfg, tags, 2);
   ChaosBed bed(tags, {outage_plan(death, death + util::sec(2))});
-  FleetController fleet(cfg, bed.specs, &bed.world);
+  FleetController fleet(cfg, bed.specs);
 
   bool saw_down = false, saw_skip = false, saw_probe = false;
   bool saw_recovery = false;
@@ -268,7 +268,7 @@ TEST(FleetFailover, TakeoverRadiusBudgetCapsTheGrant) {
   const std::vector<std::size_t> tags{3, 3};
   const util::SimTime death = death_before_cycle(cfg, tags, 1);
   ChaosBed bed(tags, {outage_plan(death)});
-  FleetController fleet(cfg, bed.specs, &bed.world);
+  FleetController fleet(cfg, bed.specs);
 
   llrp::FleetTakeoverRecord grant;
   for (std::size_t c = 0; c < 6 && grant.radius_mm == 0; ++c) {
@@ -286,7 +286,7 @@ TEST(FleetFailover, StaticNeighborPolicyExpandsByTheFixedStep) {
   const std::vector<std::size_t> tags{3, 3};
   const util::SimTime death = death_before_cycle(cfg, tags, 1);
   ChaosBed bed(tags, {outage_plan(death)});
-  FleetController fleet(cfg, bed.specs, &bed.world);
+  FleetController fleet(cfg, bed.specs);
 
   llrp::FleetTakeoverRecord grant;
   for (std::size_t c = 0; c < 6 && grant.radius_mm == 0; ++c) {
@@ -302,7 +302,7 @@ TEST(FleetFailover, NoTakeoverPolicyStillAccountsOrphans) {
   const std::vector<std::size_t> tags{3, 3};
   const util::SimTime death = death_before_cycle(cfg, tags, 1);
   ChaosBed bed(tags, {outage_plan(death)});
-  FleetController fleet(cfg, bed.specs, &bed.world);
+  FleetController fleet(cfg, bed.specs);
 
   bool saw_down = false;
   for (const FleetCycleReport& r : fleet.run_cycles(8)) {
@@ -324,35 +324,13 @@ TEST(FleetFailover, RecoverQueueIsBoundedWithDropAccounting) {
   const std::vector<std::size_t> tags{5, 3};
   const util::SimTime death = death_before_cycle(cfg, tags, 1);
   ChaosBed bed(tags, {outage_plan(death)});
-  FleetController fleet(cfg, bed.specs, &bed.world);
+  FleetController fleet(cfg, bed.specs);
 
   fleet.run_cycles(8);
   const RecoverStats rs = fleet.recover_stats();
   EXPECT_EQ(rs.enqueued, 2u);
   EXPECT_EQ(rs.dropped, 3u);
   EXPECT_EQ(rs.pending, 2u);
-}
-
-TEST(FleetFailover, RecoveredDeliveriesAreCountedInSinkStats) {
-  const FleetConfig cfg = chaos_config(TakeoverPolicy::kAdaptive);
-  const std::vector<std::size_t> tags{3, 3, 3, 3};
-  const util::SimTime death = death_before_cycle(cfg, tags, 2);
-  ChaosBed bed(tags, {outage_plan(death)});
-  FleetController fleet(cfg, bed.specs, &bed.world);
-  fleet.pipeline().add_sink(
-      std::make_shared<CallbackSink>("app", [](const rf::TagReading&) {}));
-
-  fleet.run_cycles(8);
-  const RecoverStats rs = fleet.recover_stats();
-  ASSERT_EQ(rs.recovered, 3u);
-
-  // Every re-covered orphan delivery was flagged through ReadingContext
-  // and tallied per sink.
-  std::uint64_t recovered = 0;
-  for (const SinkStats& s : fleet.pipeline().stats()) {
-    recovered += s.recovered;
-  }
-  EXPECT_EQ(recovered, rs.recovered);
 }
 
 // ----------------------------------------- session-aware re-inventory
@@ -367,7 +345,7 @@ TEST(FleetFailover, TakeoverRearmsSharedSessionExactlyOnce) {
   const std::vector<std::size_t> tags{6, 0};
   const util::SimTime death = death_before_cycle(cfg, tags, 1);
   ChaosBed bed(tags, {outage_plan(death)});
-  FleetController fleet(cfg, bed.specs, &bed.world);
+  FleetController fleet(cfg, bed.specs);
 
   const FleetCycleReport first = fleet.run_cycle();
   EXPECT_EQ(first.readers[0].report.phase1_readings, 6u);
@@ -461,7 +439,7 @@ TEST(FleetFailover, ChaosRecordReplayPreservesFleetJournalDigest) {
   }
 
   FleetConfig cfg = base;
-  FleetController recorded(cfg, recording_specs, &bed.world);
+  FleetController recorded(cfg, recording_specs);
   const auto recorded_reports = recorded.run_cycles(8);
 
   // The chaos actually happened: a D record, takeovers, and errored
@@ -482,7 +460,7 @@ TEST(FleetFailover, ChaosRecordReplayPreservesFleetJournalDigest) {
         llrp::ReaderJournal::from_csv(recorders[k]->journal().to_csv())));
     replay_specs[k].client = replays[k].get();
   }
-  FleetController replayed(cfg, replay_specs, /*world=*/nullptr);
+  FleetController replayed(cfg, replay_specs);
   const auto replayed_reports = replayed.run_cycles(8);
 
   EXPECT_EQ(fleet_journal_digest(replayed.journal()),
@@ -554,7 +532,7 @@ TEST(FleetFailover, AssessorThreadCountNeverChangesTheFaultStory) {
     ChaosBed bed(tags, {outage_plan(death, death + util::sec(2))});
     FleetConfig cfg = base;
     cfg.controller.assessor_threads = threads;
-    FleetController fleet(cfg, bed.specs, &bed.world);
+    FleetController fleet(cfg, bed.specs);
     const std::string text = describe(fleet.run_cycles(12));
     const std::string csv = fleet.journal().to_csv();
     if (journal_csv.empty()) {
@@ -578,7 +556,7 @@ TEST(FleetFailover, WatchdogBudgetMarksSlowCyclesAsFailures) {
   // overruns, so every reader fails its first cycle and goes Suspect.
   cfg.resilience.reader_cycle_budget = util::msec(1);
   ChaosBed bed({2, 2});
-  FleetController fleet(cfg, bed.specs, &bed.world);
+  FleetController fleet(cfg, bed.specs);
 
   const FleetCycleReport r = fleet.run_cycle();
   for (const FleetReaderCycle& k : r.readers) {

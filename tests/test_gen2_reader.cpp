@@ -5,6 +5,7 @@
 #include <set>
 
 #include "gen2/reader.hpp"
+#include "oracle/flag_store.hpp"
 #include "util/circular.hpp"
 
 namespace tagwatch::gen2 {
@@ -373,7 +374,7 @@ TEST(Gen2ReaderFlags, SelectMirrorsFlagStoreSemantics) {
   ReaderFixture fx(12);
   // The same Select sequence applied through the old EPC-keyed FlagStore
   // is the oracle for the dense mirror.
-  FlagStore oracle;
+  oracle::FlagStore oracle;
   std::vector<util::Epc> epcs;
   for (const auto& t : fx.world.tags()) epcs.push_back(t.epc);
 

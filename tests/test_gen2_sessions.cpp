@@ -11,6 +11,7 @@
 #include "gen2/flag_field.hpp"
 #include "gen2/reader.hpp"
 #include "gen2/tag_runtime.hpp"
+#include "oracle/flag_store.hpp"
 #include "util/circular.hpp"
 
 namespace tagwatch::gen2 {
@@ -346,7 +347,7 @@ void run_oracle_differential(std::size_t n_readers) {
   for (std::size_t i = 0; i < kTags; ++i) {
     epcs.push_back(util::Epc::from_serial(i + 1));
   }
-  FlagStore oracle;
+  oracle::FlagStore oracle;
 
   const auto check = [&](const char* where) {
     const util::SimTime now = bed.world.now();

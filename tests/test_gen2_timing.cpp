@@ -3,6 +3,7 @@
 
 #include "gen2/link_params.hpp"
 #include "gen2/tag_runtime.hpp"
+#include "oracle/flag_store.hpp"
 
 namespace tagwatch::gen2 {
 namespace {
@@ -141,7 +142,7 @@ TEST(SelectAction, DeassertUnmatchedOnlyIntersects) {
 }
 
 TEST(FlagStore, DefaultsToPowerUpState) {
-  FlagStore store;
+  oracle::FlagStore store;
   const TagFlags& f = store[util::Epc::from_serial(1)];
   EXPECT_FALSE(f.sl);
   EXPECT_EQ(f.session_flag(Session::kS0), InvFlag::kA);
@@ -149,7 +150,7 @@ TEST(FlagStore, DefaultsToPowerUpState) {
 }
 
 TEST(FlagStore, BroadcastSelectPartitionsPopulation) {
-  FlagStore store;
+  oracle::FlagStore store;
   std::vector<util::Epc> epcs;
   for (std::uint64_t i = 0; i < 8; ++i) {
     epcs.push_back(util::Epc::from_serial(i, 8));  // "00000000".."00000111"
@@ -163,15 +164,6 @@ TEST(FlagStore, BroadcastSelectPartitionsPopulation) {
   for (std::uint64_t i = 0; i < 8; ++i) {
     EXPECT_EQ(store[epcs[static_cast<std::size_t>(i)]].sl, i >= 4) << i;
   }
-}
-
-TEST(FlagStore, ForgetRemovesState) {
-  FlagStore store;
-  store[util::Epc::from_serial(1)].sl = true;
-  EXPECT_EQ(store.size(), 1u);
-  store.forget(util::Epc::from_serial(1));
-  EXPECT_EQ(store.size(), 0u);
-  EXPECT_FALSE(store[util::Epc::from_serial(1)].sl);  // fresh power-up state
 }
 
 }  // namespace

@@ -86,27 +86,6 @@ TEST(ReadingPipeline, DecliningSinkCountsAsDroppedAndDeliveryContinues) {
   EXPECT_GE(stats[0].mean_dispatch_us(), 0.0);
 }
 
-TEST(ReadingPipeline, RecoveredDeliveriesAreCountedPerAcceptingSink) {
-  // The fleet marks re-covered orphan deliveries via ReadingContext; the
-  // pipeline tallies them per sink, but only when the sink accepted.
-  ReadingPipeline pipeline;
-  auto refuser = std::make_shared<CountingSink>("refuser", /*accept=*/false);
-  auto taker = std::make_shared<CountingSink>("taker");
-  pipeline.add_sink(refuser);
-  pipeline.add_sink(taker);
-
-  const ReadingContext recovered{0, ReadPhase::kPhase2, /*source_id=*/0,
-                                 /*recovered=*/true};
-  pipeline.dispatch_batch({make_reading(1)}, recovered);
-  pipeline.dispatch_batch({make_reading(2)}, {});  // Ordinary: not counted.
-  pipeline.dispatch_batch({make_reading(3), make_reading(4)}, recovered);
-
-  const auto stats = pipeline.stats();
-  EXPECT_EQ(stats[0].recovered, 0u);  // Declined: never counted.
-  EXPECT_EQ(stats[1].delivered, 4u);
-  EXPECT_EQ(stats[1].recovered, 3u);
-}
-
 /// Throws on every Nth reading (always, when every == 1).
 class ThrowingSink final : public ReadingSink {
  public:
